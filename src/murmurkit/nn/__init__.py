@@ -1,15 +1,6 @@
 """Minimal neural-network engine: layers, variant builders, and training."""
 
-from .layers import (
-    Param,
-    conv2d,
-    cross_entropy,
-    dropout,
-    global_avg_pool,
-    linear,
-    maxpool2x2,
-    softmax,
-)
+from .layers import Param, cross_entropy, global_avg_pool, softmax
 from .network import (
     LayerKind,
     LayerSpec,
@@ -33,14 +24,10 @@ __all__ = [
     "Variant",
     "adamw_step",
     "build_model",
-    "conv2d",
     "cross_entropy",
-    "dropout",
     "fit",
     "global_avg_pool",
-    "linear",
     "load_network",
-    "maxpool2x2",
     "predict_labels",
     "save_network",
     "softmax",

@@ -9,6 +9,19 @@ Hot layers keep per-thread workspace buffers: on a small host, repeatedly
 mallocing multi-megabyte temporaries costs more in page faults than the
 arithmetic itself. Buffers are keyed per layer object and reallocated when
 the batch shape changes, so results are identical with or without reuse.
+These arrays are workspace views that the same layer's next call
+overwrites: the forward outputs of Conv3x3, Dropout (when it drops) and
+MaxPool2x2, and the gradients that the backward passes of Conv3x3, ReLU,
+Dropout (when it dropped) and MaxPool2x2 return. ReLU works in place: it
+overwrites its input (in a Network, the conv output buffer) and returns it.
+
+Max pooling takes the max over the four stride-2 corner views of the input.
+Each window's gradient goes to its first corner, in window order (top-left,
+top-right, bottom-left, bottom-right), that equals the max: the element
+``argmax`` over the window picks. The forward value is that same corner's,
+so even a +0/-0 tie matches it. For finite values the kernels match, byte
+for byte, the gather/scatter and allocate-per-call formulation kept as
+oracles in tests/test_kernel_identity.py.
 """
 
 from __future__ import annotations
@@ -82,68 +95,42 @@ def _col2im3x3(
     return dxp[:, :, 1 : h + 1, 1 : w + 1]
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 convolution, stride 1, padding 1; spatial dims are preserved."""
-    n, c, h, ww = x.shape
-    out_ch, in_ch, kh, kw = w.shape
-    if (kh, kw) != (3, 3):
-        raise ShapeError(f"expected 3x3 kernel, got {kh}x{kw}")
-    if c != in_ch:
-        raise ShapeError(f"input has {c} channels, kernel expects {in_ch}")
-    cols = _im2col3x3(x)
-    wm = w.reshape(out_ch, in_ch * 9)
-    out = np.matmul(wm, cols) + b[None, :, None]
-    return out.reshape(n, out_ch, h, ww)
+# --- 2x2 max pooling ----------------------------------------------------------
+
+# Corner offsets of a 2x2 window, in window order.
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def maxpool2x2(x: np.ndarray) -> np.ndarray:
-    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped."""
-    n, c, h, w = x.shape
+def _corner_views(x: np.ndarray) -> list[np.ndarray]:
+    """The four stride-2 views of (N, C, H, W) that hold each window's corners."""
+    h2, w2 = x.shape[2] // 2, x.shape[3] // 2
+    return [x[:, :, u : 2 * h2 : 2, v : 2 * w2 : 2] for u, v in _CORNERS]
+
+
+def max_pool_2x2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2x2 max pooling, stride 2, as the max of the four corner views.
+
+    Odd trailing rows/columns are dropped. The max is exact in every dtype,
+    so the int8 path shares this kernel. The result goes to ``out`` when
+    given, shape (N, C, H // 2, W // 2).
+    """
+    h, w = x.shape[2:]
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool2x2 needs H, W >= 2, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    blocks = _pool_blocks(x, h2, w2)
-    return blocks.max(axis=4)
-
-
-def _pool_blocks(x: np.ndarray, h2: int, w2: int) -> np.ndarray:
-    n, c = x.shape[:2]
-    xc = x[:, :, : h2 * 2, : w2 * 2]
-    return (
-        xc.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    )
+    c00, c01, c10, c11 = _corner_views(x)
+    if out is None:
+        out = np.empty(c00.shape, dtype=x.dtype)
+    # np.maximum returns its second operand on ties, so folding the corners
+    # in reverse window order keeps the first maximal one.
+    np.maximum(c11, c10, out=out)
+    np.maximum(out, c01, out=out)
+    np.maximum(out, c00, out=out)
+    return out
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Per-channel mean over all spatial positions, output (N, C, 1, 1)."""
     return x.mean(axis=(2, 3), keepdims=True)
-
-
-def dropout(
-    x: np.ndarray,
-    p: float = 0.1,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Inverted dropout: identity in eval mode, scaled masking in train/mcd."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout p must be in [0, 1), got {p}")
-    if mode not in ("train", "eval", "mcd"):
-        raise ConfigError(f"unknown dropout mode {mode!r}")
-    if mode == "eval" or p == 0.0:
-        return x
-    if rng is None:
-        raise ConfigError("stochastic dropout requires an rng")
-    mask = (rng.random(x.shape) >= p).astype(x.dtype)
-    return x * mask / (1.0 - p)
-
-
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map on inputs flattened to (N, in_features)."""
-    flat = x.reshape(x.shape[0], -1)
-    if flat.shape[1] != w.shape[1]:
-        raise ShapeError(f"linear input has {flat.shape[1]} features, weight expects {w.shape[1]}")
-    return flat @ w.T + b[None, :]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -230,25 +217,26 @@ class Conv3x3:
 
 class ReLU:
     def __init__(self):
-        self._mask = None
+        self._out = None
         self._ws = _Workspace()
 
     def params(self) -> list[Param]:
         return []
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out = self._ws.get("out", x.shape, x.dtype)
-        np.maximum(x, 0, out=out)
+        np.maximum(x, 0, out=x)
         if train:
-            mask = self._ws.get("mask", x.shape, np.bool_)
-            np.greater(x, 0, out=mask)
-            self._mask = mask
-        return out
+            self._out = x  # out > 0 exactly where x > 0
+        return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._out is None:
             raise StateError("relu backward without cached forward")
-        return grad * self._mask
+        mask = self._ws.get("mask", self._out.shape, np.bool_)
+        np.greater(self._out, 0, out=mask)
+        dx = self._ws.get("dx", grad.shape, grad.dtype)
+        np.multiply(grad, mask, out=dx)
+        return dx
 
 
 class Dropout:
@@ -256,7 +244,7 @@ class Dropout:
         if not 0.0 <= p < 1.0:
             raise ConfigError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
-        self._mask = None
+        self._cache = None
         self._ws = _Workspace()
 
     def params(self) -> list[Param]:
@@ -265,21 +253,31 @@ class Dropout:
     def forward(self, x: np.ndarray, train: bool, *, active: bool, rng) -> np.ndarray:
         if not active or self.p == 0.0:
             if train:
-                self._mask = None  # identity backward
+                self._cache = None  # identity backward
             return x
         draw_dtype = np.float64 if x.dtype == np.float64 else np.float32
         draw = self._ws.get("draw", x.shape, draw_dtype)
         rng.random(out=draw.reshape(-1), dtype=draw_dtype)
         gate = self._ws.get("gate", x.shape, np.bool_)
         np.greater_equal(draw, self.p, out=gate)
-        mask = self._ws.get("mask", x.shape, x.dtype)
-        np.multiply(gate, np.array(1.0 / (1.0 - self.p), dtype=x.dtype), out=mask)
+        scale = np.array(1.0 / (1.0 - self.p), dtype=x.dtype)
+        # The gate is exactly 0 or 1, so (x * gate) * scale has the bytes of
+        # x * (gate * scale) without a separate mask pass.
+        out = self._ws.get("out", x.shape, x.dtype)
+        np.multiply(x, gate, out=out)
+        out *= scale
         if train:
-            self._mask = mask
-        return x * mask
+            self._cache = (gate, scale)
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad if self._mask is None else grad * self._mask
+        if self._cache is None:
+            return grad
+        gate, scale = self._cache
+        dx = self._ws.get("dx", grad.shape, np.result_type(grad.dtype, scale.dtype))
+        np.multiply(grad, gate, out=dx)
+        dx *= scale
+        return dx
 
 
 class MaxPool2x2:
@@ -292,38 +290,40 @@ class MaxPool2x2:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, c, h, w = x.shape
-        if h < 2 or w < 2:
-            raise ShapeError(f"maxpool2x2 needs H, W >= 2, got {h}x{w}")
-        h2, w2 = h // 2, w // 2
-        blocks = self._ws.get("blocks", (n, c, h2, w2, 4), x.dtype)
-        xc = x[:, :, : h2 * 2, : w2 * 2]
-        np.copyto(
-            blocks.reshape(n, c, h2, w2, 2, 2),
-            xc.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5),
-        )
-        idx = self._ws.get("idx", (n, c, h2, w2), np.int64)
-        np.argmax(blocks, axis=4, out=idx)
-        out = np.take_along_axis(blocks, idx[..., None], axis=4)[..., 0]
+        out = self._ws.get("out", (n, c, h // 2, w // 2), x.dtype)
+        max_pool_2x2(x, out)
         if train:
-            self._cache = (idx, x.shape)
+            # Winner code: index of the first corner equal to the max, i.e.
+            # 0 if c00 == max else 1 + (c01 != max) * (1 + (c10 != max)).
+            c00, c01, c10, _ = _corner_views(x)
+            code = self._ws.get("code", out.shape, np.uint8)
+            hit = self._ws.get("hit", out.shape, np.bool_)
+            np.not_equal(c10, out, out=code)
+            code += 1
+            np.not_equal(c01, out, out=hit)
+            code *= hit
+            code += 1
+            np.not_equal(c00, out, out=hit)
+            code *= hit
+            self._cache = (code, x.shape)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StateError("maxpool backward without cached forward")
-        idx, (n, c, h, w) = self._cache
-        h2, w2 = h // 2, w // 2
-        dblocks = self._ws.get("dblocks", (n, c, h2, w2, 4), grad.dtype)
-        dblocks[...] = 0
-        np.put_along_axis(dblocks, idx[..., None], grad[..., None], axis=4)
-        scatter = self._ws.get("scatter", (n, c, h2 * 2, w2 * 2), grad.dtype)
-        np.copyto(
-            scatter.reshape(n, c, h2, 2, w2, 2),
-            dblocks.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5),
-        )
-        dx = self._ws.get("dx", (n, c, h, w), grad.dtype)
-        dx[...] = 0
-        dx[:, :, : h2 * 2, : w2 * 2] = scatter
+        code, shape = self._cache
+        dx = self._ws.get("dx", shape, grad.dtype)
+        hit = self._ws.get("hit", code.shape, np.bool_)
+        for k, corner in enumerate(_corner_views(dx)):
+            np.equal(code, k, out=hit)
+            np.multiply(grad, hit, out=corner)
+        if shape[2] % 2:
+            dx[:, :, -1, :] = 0
+        if shape[3] % 2:
+            dx[:, :, :, -1] = 0
+        # grad * False is -0.0 where grad < 0; adding +0.0 makes every
+        # non-winner +0.0 and leaves all other values as they are.
+        dx += 0.0
         return dx
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dsp import Spectrogram, model_input
 from .errors import CalibrationError, NumericError, ParseError, ShapeError
-from .nn.layers import _im2col3x3, softmax
+from .nn.layers import _im2col3x3, max_pool_2x2, softmax
 from .nn.network import LayerKind, LayerSpec, Network, Variant
 
 _QMAX = 127
@@ -248,17 +248,7 @@ def qforward(qnet: QNetwork, spectrogram: Spectrogram | np.ndarray) -> np.ndarra
                 cur_q = op.out_q
                 q = cur_q.quantize(real)
         elif op.kind is LayerKind.MAXPOOL2X2:
-            n, c, h, w = q.shape
-            if h < 2 or w < 2:
-                raise ShapeError(f"maxpool2x2 needs H, W >= 2, got {h}x{w}")
-            h2, w2 = h // 2, w // 2
-            blocks = (
-                q[:, :, : h2 * 2, : w2 * 2]
-                .reshape(n, c, h2, 2, w2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h2, w2, 4)
-            )
-            q = blocks.max(axis=4)  # max in int8; qparams unchanged
+            q = max_pool_2x2(q)  # max in int8; qparams unchanged
         elif op.kind is LayerKind.GLOBAL_AVG_POOL:
             n, c, h, w = q.shape
             total = q.astype(np.int32).sum(axis=(2, 3), keepdims=True)

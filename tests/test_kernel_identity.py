@@ -164,6 +164,13 @@ def test_maxpool_second_call_with_new_data(kind, dtype):
         _same_bytes(layer.backward(grad), oracle.backward(grad))
 
 
+def test_int8_max_pool_matches_block_max():
+    # The int8 inference path pools with the same kernel as the float layer.
+    q = np.random.default_rng(0).integers(-128, 128, size=(2, 3, 9, 14)).astype(np.int8)
+    blocks = q[:, :, :8].reshape(2, 3, 4, 2, 7, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 4, 7, 4)
+    _same_bytes(L.max_pool_2x2(q), blocks.max(axis=4))
+
+
 # --- dropout ---------------------------------------------------------------------
 
 
@@ -186,14 +193,12 @@ def test_dropout_matches_oracle(kind, dtype, train):
     assert rng.random() == twin.random()
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-def test_dropout_inactive_is_identity(dtype):
-    x = _random((2, 3, 4, 5), dtype, 0)
+def test_dropout_backward_after_inactive_forward_is_identity():
     layer = L.Dropout(0.1)
-    assert layer.forward(x, True, active=False, rng=None) is x
-    grad = _random((2, 3, 4, 5), dtype, 1)
+    layer.forward(np.ones((2, 3)), True, active=True, rng=np.random.default_rng(0))
+    layer.forward(np.ones((2, 3)), True, active=False, rng=None)
+    grad = np.ones((2, 3))
     assert layer.backward(grad) is grad
-    assert L.Dropout(0.0).forward(x, True, active=True, rng=np.random.default_rng(0)) is x
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -235,7 +240,8 @@ def _train_light(seed):
     train_y, val_y = rng.integers(0, 2, 72), rng.integers(0, 2, 24)
     net = build_model("light", seed=seed)
     history = fit(net, train_x, train_y, val_x, val_y, TrainConfig(epochs=2, seed=seed))
-    return net.get_weights(), [e.train_loss for e in history.epochs]
+    kinds = {type(layer) for layer in net.layers}
+    return kinds, net.get_weights(), [e.train_loss for e in history.epochs]
 
 
 def test_two_epoch_light_training_matches_oracle_kernels(monkeypatch):
@@ -243,8 +249,10 @@ def test_two_epoch_light_training_matches_oracle_kernels(monkeypatch):
         m.setattr(L, "MaxPool2x2", OracleMaxPool2x2)
         m.setattr(L, "Dropout", OracleDropout)
         m.setattr(L, "ReLU", OracleReLU)
-        want_weights, want_losses = _train_light(21)
-    got_weights, got_losses = _train_light(21)
+        want_kinds, want_weights, want_losses = _train_light(21)
+    got_kinds, got_weights, got_losses = _train_light(21)
+    assert {OracleMaxPool2x2, OracleDropout, OracleReLU} <= want_kinds
+    assert {L.MaxPool2x2, L.Dropout, L.ReLU} <= got_kinds
     assert got_losses == want_losses
     assert len(got_weights) == len(want_weights)
     for got, want in zip(got_weights, want_weights):

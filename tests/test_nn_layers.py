@@ -10,15 +10,7 @@ import pytest
 
 from murmurkit.errors import ConfigError, LabelError, ShapeError, StateError
 from murmurkit.nn import layers as L
-from murmurkit.nn.layers import (
-    conv2d,
-    cross_entropy,
-    dropout,
-    global_avg_pool,
-    linear,
-    maxpool2x2,
-    softmax,
-)
+from murmurkit.nn.layers import cross_entropy, global_avg_pool, softmax
 
 FD_STEP = 1e-3
 FD_TOL = 1e-4
@@ -26,6 +18,36 @@ FD_TOL = 1e-4
 
 def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
+
+
+def conv2d(x, w, b):
+    """Eval forward of a float64 Conv3x3 holding the given weights."""
+    out_ch, in_ch = w.shape[:2]
+    layer = L.Conv3x3(in_ch, out_ch, rng=np.random.default_rng(0), dtype=np.float64)
+    layer.w.value[...] = w
+    layer.b.value[...] = b
+    return layer.forward(x, False)
+
+
+def maxpool2x2(x):
+    return L.MaxPool2x2().forward(x, False)
+
+
+def linear(x, w, b):
+    """Eval forward of a float64 Linear holding the given weights."""
+    layer = L.Linear(w.shape[1], w.shape[0], rng=np.random.default_rng(0), dtype=np.float64)
+    layer.w.value[...] = w
+    layer.b.value[...] = b
+    return layer.forward(x, False)
+
+
+# (train, active) of Network's "train", "eval" and "mcd" modes
+DROPOUT_MODES = {"train": (True, True), "eval": (False, False), "mcd": (False, True)}
+
+
+def dropout(x, p, mode, rng=None):
+    train, active = DROPOUT_MODES[mode]
+    return L.Dropout(p).forward(x, train, active=active, rng=rng)
 
 
 def _check_input_grad(layer, x, n_coords=20, seed=0):
