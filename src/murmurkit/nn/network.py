@@ -2,15 +2,21 @@
 
 Each variant is an ordered stack of conv blocks (Conv3x3 -> ReLU ->
 Dropout 0.1 -> pool) ending in a global average pool, a 2-way linear layer,
-and a softmax. Weight layout on disk is (out_ch, in_ch, kH, kW) row-major
-float32, one blob per tensor, indexed by a checksummed text manifest.
+and a softmax. Float and int8 weights share one container: a directory of
+one row-major blob per tensor, conv weights (out_ch, in_ch, kH, kW), and a
+tab-separated manifest of ``format``, ``variant`` and ``dtype`` rows, the
+``layer`` rows of the variant, and a ``tensor`` row with the shape and
+CRC-32 of each blob. Loaders reject any other format, version, dtype or
+row than saving the loaded network would write.
 """
 
 from __future__ import annotations
 
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -204,54 +210,107 @@ def build_model(variant: Variant | str, seed: int, dtype=np.float32) -> Network:
 
 # --- weights files ----------------------------------------------------------
 
-_WEIGHTS_FORMAT = "murmurkit-weights"
-_WEIGHTS_VERSION = 1
+_FORMAT_VERSION = 1
+
+# A manifest row: a text line, or a tensor as (name, values, extra columns).
+Row = str | tuple[str, np.ndarray, list[str]]
 
 
-def save_network(net: Network, out_dir: str | Path) -> None:
+def layer_rows(specs: list[LayerSpec]) -> list[str]:
+    return [
+        f"layer\t{i}\t{s.kind.value}\t{s.in_ch}\t{s.out_ch}\t{s.p}" for i, s in enumerate(specs)
+    ]
+
+
+@contextmanager
+def malformed_rows(weights_dir: str | Path):
+    """Turn a bad row (missing column, bad number or enum) into a ParseError."""
+    try:
+        yield
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ParseError(f"{weights_dir}: malformed weights manifest: {exc}") from None
+
+
+def write_weights(
+    out_dir: str | Path, fmt: str, variant: Variant, dtype: str, rows: list[Row]
+) -> None:
+    """Write the format, variant and dtype rows, then ``rows`` in order; each
+    tensor goes to ``<name>.bin`` as ``dtype`` and gets the row
+    ``tensor, name, shape, *extra, file name, crc32``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [
-        f"format\t{_WEIGHTS_FORMAT}\t{_WEIGHTS_VERSION}",
-        f"variant\t{net.variant.value}",
-        "dtype\tfloat32",
+        f"format\t{fmt}\t{_FORMAT_VERSION}",
+        f"variant\t{variant.value}",
+        f"dtype\t{np.dtype(dtype).name}",
     ]
-    for i, spec in enumerate(net.specs):
-        lines.append(
-            f"layer\t{i}\t{spec.kind.value}\t{spec.in_ch}\t{spec.out_ch}\t{spec.p}"
-        )
-    for p in net.parameters():
-        blob = np.ascontiguousarray(p.value, dtype="<f4").tobytes()
-        fname = f"{p.name}.bin"
-        (out / fname).write_bytes(blob)
-        shape = ",".join(str(d) for d in p.value.shape)
-        lines.append(f"tensor\t{p.name}\t{shape}\t{fname}\t{zlib.crc32(blob):08x}")
+    for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+            continue
+        name, values, extra = row
+        blob = np.ascontiguousarray(values, dtype=dtype).tobytes()
+        (out / f"{name}.bin").write_bytes(blob)
+        shape = ",".join(str(d) for d in values.shape)
+        crc = f"{zlib.crc32(blob):08x}"
+        lines.append("\t".join(["tensor", name, shape, *extra, f"{name}.bin", crc]))
     (out / "manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_network(weights_dir: str | Path) -> Network:
+def read_weights(weights_dir: str | Path, fmt: str, dtype: str) -> tuple[Variant, list[Row]]:
+    """Read a ``write_weights`` directory back: its variant and its rows,
+    with every blob checked against its CRC-32."""
     base = Path(weights_dir)
-    manifest = base / "manifest"
-    if not manifest.exists():
+    if not (base / "manifest").exists():
         raise ParseError(f"{weights_dir}: missing weights manifest")
-    variant: Variant | None = None
-    tensors: list[tuple[str, tuple[int, ...], str, int]] = []
-    for line in manifest.read_text(encoding="utf-8").splitlines():
-        fields = line.split("\t")
-        if fields[0] == "variant":
-            variant = Variant(fields[1])
-        elif fields[0] == "tensor":
-            name, shape_tok, fname, crc_tok = fields[1:5]
-            shape = tuple(int(d) for d in shape_tok.split(","))
-            tensors.append((name, shape, fname, int(crc_tok, 16)))
-    if variant is None:
-        raise ParseError(f"{weights_dir}: manifest lacks a variant entry")
+    lines = (base / "manifest").read_text(encoding="utf-8").splitlines()
+    if lines[:1] != [f"format\t{fmt}\t{_FORMAT_VERSION}"]:
+        raise ParseError(f"{weights_dir}: not a {fmt} version {_FORMAT_VERSION} manifest")
+    with malformed_rows(weights_dir):
+        if not lines[1].startswith("variant\t") or lines[2] != f"dtype\t{np.dtype(dtype).name}":
+            raise ValueError(f"rows 2-3 must give the variant and dtype {np.dtype(dtype).name}")
+        variant = Variant(lines[1].split("\t")[1])
+        rows: list[Row] = []
+        for line in lines[3:]:
+            if not line.startswith("tensor\t"):
+                rows.append(line)
+                continue
+            _, name, shape, *extra, fname, crc = line.split("\t")
+            if fname != f"{name}.bin":
+                raise ValueError(f"tensor {name!r} names blob {fname!r}")
+            blob = (base / fname).read_bytes()
+            if zlib.crc32(blob) != int(crc, 16):
+                raise ParseError(f"{weights_dir}/{fname}: checksum mismatch")
+            dims = [int(d) for d in shape.split(",")]
+            rows.append((name, np.frombuffer(blob, dtype=dtype).reshape(dims), extra))
+    return variant, rows
+
+
+def check_rows(weights_dir: str | Path, rows: list[Row], expected: list[Row]) -> None:
+    """Reject read rows that differ from what writing the loaded network
+    would give, tensor values aside."""
+    def outline(row: Row):
+        return row if isinstance(row, str) else (row[0], row[1].shape, row[2])
+
+    for got, want in zip_longest(map(outline, rows), map(outline, expected)):
+        if got != want:
+            raise ParseError(f"{weights_dir}: manifest has {got!r} where {want!r} belongs")
+
+
+_WEIGHTS_FORMAT = "murmurkit-weights"
+
+
+def _rows(net: Network) -> list[Row]:
+    return [*layer_rows(net.specs), *((p.name, p.value, []) for p in net.parameters())]
+
+
+def save_network(net: Network, out_dir: str | Path) -> None:
+    write_weights(out_dir, _WEIGHTS_FORMAT, net.variant, "<f4", _rows(net))
+
+
+def load_network(weights_dir: str | Path) -> Network:
+    variant, rows = read_weights(weights_dir, _WEIGHTS_FORMAT, "<f4")
     net = build_model(variant, seed=0)
-    values = []
-    for name, shape, fname, crc in tensors:
-        blob = (base / fname).read_bytes()
-        if zlib.crc32(blob) != crc:
-            raise ParseError(f"{weights_dir}/{fname}: checksum mismatch")
-        values.append(np.frombuffer(blob, dtype="<f4").reshape(shape))
-    net.set_weights(values)
+    check_rows(weights_dir, rows, _rows(net))
+    net.set_weights([row[1] for row in rows if not isinstance(row, str)])
     return net

@@ -113,6 +113,15 @@ class PipelineConfig:
     def header_lines(self, command: str) -> list[str]:
         return [f"# murmurkit {command}", f"# config\t{self.to_json()}"]
 
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            lr=self.lr,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            weight_decay=self.weight_decay,
+            seed=stage_seed(self.seed, "train"),
+        )
+
     def policy(self) -> uq.ConfidencePolicy:
         return uq.ConfidencePolicy(
             cs_threshold=self.cs_threshold,
@@ -142,6 +151,8 @@ def worker_count() -> int:
         if n < 1:
             raise ConfigError("MURMUR_THREADS must be >= 1")
         return n
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
 
 
@@ -529,32 +540,22 @@ def train_run(
     val_x, val_y = flatten_segments(val_feats)
 
     net = build_model(cfg.variant, seed=stage_seed(cfg.seed, "init"))
-    tconf = TrainConfig(
-        lr=cfg.lr,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        weight_decay=cfg.weight_decay,
-        seed=stage_seed(cfg.seed, "train"),
-    )
-    history = fit(net, train_x, train_y, val_x, val_y, tconf)
+    history = fit(net, train_x, train_y, val_x, val_y, cfg.train_config())
 
     weights_dir = out / "weights"
     save_network(net, weights_dir)
 
+    val_infer = infer_patients(net, val_feats, cfg, selective=False)
     fractions, truths = [], []
-    for pf in val_feats:
-        for lf in pf.locations:
-            if len(lf.inputs) == 0:
-                continue
-            labels = predict_labels(net, lf.inputs)
-            fractions.append(float(labels.mean()))
-            truths.append(1 if pf.label is MurmurLabel.PRESENT else 0)
+    for p in val_infer.predictions:
+        for d in p.locations:
+            fractions.append(d.present_fraction)
+            truths.append(1 if val_infer.truths[p.patient_id] is MurmurLabel.PRESENT else 0)
     if fractions and sum(truths) > 0:
         calibrated = aggregate.calibrate_threshold(fractions, truths)
     else:
         calibrated = aggregate.VOTE_THR_DEFAULT
 
-    val_infer = infer_patients(net, val_feats, cfg, selective=False)
     (out / "history.tsv").write_text(
         "\n".join(cfg.header_lines("train"))
         + "\n"
@@ -608,14 +609,7 @@ def cv_run(
                 held_feats = [pf for pf in all_feats if pf.patient_id in held]
                 val_x, val_y = flatten_segments(held_feats)
                 net = build_model(point.variant, seed=stage_seed(point.seed, "init"))
-                tconf = TrainConfig(
-                    lr=point.lr,
-                    epochs=point.epochs,
-                    batch_size=point.batch_size,
-                    weight_decay=point.weight_decay,
-                    seed=stage_seed(point.seed, "train"),
-                )
-                fit(net, train_x, train_y, val_x, val_y, tconf)
+                fit(net, train_x, train_y, val_x, val_y, point.train_config())
                 m = metrics.binary_metrics(predict_labels(net, val_x), val_y)
                 accs.append(m.accuracy)
                 f1s.append(m.f1)

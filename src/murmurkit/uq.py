@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, model_input
 from .errors import ConfigError, DomainError
 from .nn.layers import Dropout
 from .nn.network import Network
@@ -106,40 +105,6 @@ def _scores(
     )
 
 
-def _single_input(net: Network, spectrogram) -> np.ndarray:
-    if isinstance(spectrogram, Spectrogram):
-        return model_input(spectrogram)
-    x = np.asarray(spectrogram, dtype=np.float32)
-    if x.ndim == 2:
-        x = x[None, ...]
-    return x
-
-
-def mcd_predict(
-    net: Network,
-    spectrogram,
-    n: int = 10,
-    seed: int = 0,
-    alpha: float = 0.5,
-    entropy_mode: str = "entropy_of_mean",
-) -> McdResult:
-    """MC-Dropout inference on one segment, reproducible from the seed.
-
-    The deterministic pass runs in eval mode; the n stochastic passes run as
-    one batch with dropout active, each row drawing an independent mask.
-    """
-    if n < 2:
-        raise ConfigError(f"mcd_predict needs n >= 2 stochastic passes, got {n}")
-    if not any(isinstance(l, Dropout) for l in net.layers):
-        raise ConfigError("network has no dropout layers; MC-Dropout is undefined")
-    x = _single_input(net, spectrogram)  # (1, F, T)
-    det = net.forward(x[None, ...], mode="eval")[0]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    batch = np.broadcast_to(x[None, ...], (n, *x.shape)).copy()
-    pass_probs = net.forward(batch, mode="mcd", rng=rng)
-    return _scores(det, pass_probs, alpha, entropy_mode)
-
-
 def mcd_predict_batch(
     net: Network,
     inputs: np.ndarray,
@@ -150,9 +115,15 @@ def mcd_predict_batch(
 ) -> list[McdResult]:
     """MC-Dropout over a stack of inputs (B, 1, F, T).
 
-    Each segment gets its own spawned RNG stream, so results do not depend
-    on how the stack was batched.
+    The deterministic pass runs in eval mode. Each segment's n stochastic
+    passes run as one batch with dropout active, drawn from the segment's
+    own spawned RNG stream, so results do not depend on how the stack was
+    batched.
     """
+    if n < 2:
+        raise ConfigError(f"MC-Dropout needs n >= 2 stochastic passes, got {n}")
+    if not any(isinstance(l, Dropout) for l in net.layers):
+        raise ConfigError("network has no dropout layers; MC-Dropout is undefined")
     inputs = np.asarray(inputs, dtype=np.float32)
     if len(inputs) == 0:
         return []

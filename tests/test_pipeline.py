@@ -156,6 +156,17 @@ class TestFeatureExtraction:
         monkeypatch.setenv("MURMUR_THREADS", "3")
         assert pipeline.worker_count() == 3
 
+    def test_worker_count_uses_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("MURMUR_THREADS", raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert pipeline.worker_count() == 2
+        monkeypatch.setenv("MURMUR_THREADS", "3")
+        assert pipeline.worker_count() == 3
+        monkeypatch.delenv("MURMUR_THREADS")
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity")
+        assert pipeline.worker_count() == 4
+
     def test_parallel_matches_serial(self, corpus, monkeypatch):
         manifest, base = corpus
         cfg = PipelineConfig(seed=1)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from murmurkit import resources
-from murmurkit.errors import CalibrationError, NumericError, ParseError
-from murmurkit.nn import LayerKind, build_model
+from murmurkit.errors import CalibrationError, ConfigError, NumericError, ParseError
+from murmurkit.nn import LayerKind, LayerSpec, build_model
 from murmurkit.quant import (
     QTensor,
     load_qnetwork,
@@ -105,6 +105,15 @@ class TestQuantizeNetwork:
         net = build_model("light", seed=0)
         with pytest.raises(CalibrationError):
             quantize_network(net, np.zeros((0, 1, 33, 124), dtype=np.float32))
+
+    def test_stack_without_fused_relu_rejected(self):
+        from murmurkit.nn import Network, Variant, variant_specs
+
+        specs = variant_specs(Variant.LIGHT)
+        specs.remove(LayerSpec(LayerKind.RELU))  # the first conv loses its ReLU
+        net = Network(Variant.LIGHT, specs, rng=np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            quantize_network(net, _calibration(2))
 
     def test_accumulator_bound_guard(self):
         from murmurkit.nn import LayerKind, LayerSpec

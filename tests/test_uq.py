@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from murmurkit.errors import ConfigError, DomainError
-from murmurkit.nn import build_model
+from murmurkit.nn import LayerKind, Network, Variant, build_model, variant_specs
 from murmurkit.nn import layers as L
 from murmurkit.uq import (
     ConfidencePolicy,
     coherence,
     confidence_score,
     entropy,
-    mcd_predict,
     mcd_predict_batch,
     select_confident,
 )
@@ -81,21 +80,26 @@ def _x(seed=0):
     return np.random.default_rng(seed).standard_normal((1, 33, 124)).astype(np.float32)
 
 
+def _mcd_one(net, x, **kwargs):
+    """MC-Dropout on one segment as a one-row batch."""
+    return mcd_predict_batch(net, x[None], **kwargs)[0]
+
+
 class TestMcdPredict:
     def test_deterministic_given_seed(self, light_net):
-        a = mcd_predict(light_net, _x(), n=10, seed=42)
-        b = mcd_predict(light_net, _x(), n=10, seed=42)
+        a = _mcd_one(light_net, _x(), n=10, seed=42)
+        b = _mcd_one(light_net, _x(), n=10, seed=42)
         assert np.array_equal(a.pass_probs, b.pass_probs)
         assert a.entropy == b.entropy and a.confidence == b.confidence
 
     def test_seed_does_not_touch_deterministic_pass(self, light_net):
-        a = mcd_predict(light_net, _x(), n=5, seed=1)
-        b = mcd_predict(light_net, _x(), n=5, seed=2)
+        a = _mcd_one(light_net, _x(), n=5, seed=1)
+        b = _mcd_one(light_net, _x(), n=5, seed=2)
         assert np.array_equal(a.deterministic_probs, b.deterministic_probs)
         assert not np.array_equal(a.pass_probs, b.pass_probs)
 
     def test_pass_count(self, light_net):
-        r = mcd_predict(light_net, _x(), n=10, seed=0)
+        r = _mcd_one(light_net, _x(), n=10, seed=0)
         assert r.n_passes == 10
         assert r.pass_preds.shape == (10,)
         assert r.pass_probs.shape == (10, 2)
@@ -105,27 +109,33 @@ class TestMcdPredict:
         for l in net.layers:
             if isinstance(l, L.Dropout):
                 l.p = 0.0
-        r = mcd_predict(net, _x(3), n=6, seed=0)
+        r = _mcd_one(net, _x(3), n=6, seed=0)
         assert r.coherence == 1.0
         for row in r.pass_probs:
             np.testing.assert_allclose(row, r.deterministic_probs, atol=1e-6)
 
     def test_n_below_two_rejected(self, light_net):
         with pytest.raises(ConfigError):
-            mcd_predict(light_net, _x(), n=1, seed=0)
+            _mcd_one(light_net, _x(), n=1, seed=0)
 
     def test_rows_sum_to_one(self, light_net):
-        r = mcd_predict(light_net, _x(5), n=10, seed=3)
+        r = _mcd_one(light_net, _x(5), n=10, seed=3)
         np.testing.assert_allclose(r.pass_probs.sum(axis=1), 1.0, atol=1e-6)
         assert 0.0 <= r.entropy <= 1.0
         assert 0.0 <= r.coherence <= 1.0
         assert 0.0 <= r.confidence <= 1.0
 
     def test_entropy_mode_switch(self, light_net):
-        a = mcd_predict(light_net, _x(7), n=10, seed=5, entropy_mode="entropy_of_mean")
-        b = mcd_predict(light_net, _x(7), n=10, seed=5, entropy_mode="mean_of_entropies")
+        a = _mcd_one(light_net, _x(7), n=10, seed=5, entropy_mode="entropy_of_mean")
+        b = _mcd_one(light_net, _x(7), n=10, seed=5, entropy_mode="mean_of_entropies")
         assert np.array_equal(a.pass_probs, b.pass_probs)
         assert 0.0 <= b.entropy <= 1.0
+
+    def test_dropout_free_network_rejected(self):
+        specs = [s for s in variant_specs(Variant.LIGHT) if s.kind is not LayerKind.DROPOUT]
+        net = Network(Variant.LIGHT, specs, rng=np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            mcd_predict_batch(net, _x()[None], n=10, seed=0)
 
     def test_batch_matches_shapes(self, light_net):
         inputs = np.stack([_x(i) for i in range(4)])

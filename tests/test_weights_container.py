@@ -6,13 +6,16 @@ current writers must produce byte-identical directories, so weights saved
 by either version load in the other.
 """
 
+import shutil
 import zlib
 
 import numpy as np
 import pytest
 
-from murmurkit.nn import build_model, save_network
-from murmurkit.quant import quantize_network, save_qnetwork
+from murmurkit.cli import run
+from murmurkit.errors import ParseError
+from murmurkit.nn import LayerKind, build_model, load_network, save_network
+from murmurkit.quant import load_qnetwork, quantize_network, save_qnetwork
 
 
 def _oracle_save_network(net, out):
@@ -46,7 +49,8 @@ def _oracle_save_qnetwork(qnet, out):
     for i, spec in enumerate(qnet.specs):
         lines.append(f"layer\t{i}\t{spec.kind.value}\t{spec.in_ch}\t{spec.out_ch}\t{spec.p}")
     for i, op in enumerate(qnet.ops):
-        lines.append(f"op\t{i}\t{op.kind.value}\t{int(op.relu)}")
+        # The oracle read ``op.relu``, which was set exactly for the convs.
+        lines.append(f"op\t{i}\t{op.kind.value}\t{int(op.kind is LayerKind.CONV3X3)}")
         if op.out_q is not None:
             lines.append(f"act_q\t{i}\t{op.out_q.scale!r}\t{op.out_q.zero_point}")
         for tag, tensor in (("w", op.w), ("b", op.b_q)):
@@ -99,3 +103,94 @@ def test_int8_directory_matches_oracle_bytes(variant, dtype, tmp_path):
     save_qnetwork(qnet, tmp_path / "new")
     _oracle_save_qnetwork(qnet, tmp_path / "old")
     assert _files(tmp_path / "new") == _files(tmp_path / "old")
+
+
+# --- loader errors -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def dirs(tmp_path_factory):
+    """A saved float light net and its int8 twin."""
+    base = tmp_path_factory.mktemp("weights")
+    net = _net("light", np.float32)
+    save_network(net, base / "weights")
+    save_qnetwork(quantize_network(net, _calibration()), base / "qweights")
+    return base
+
+
+LOADERS = {"weights": load_network, "qweights": load_qnetwork}
+
+
+def _edit(src, dst, edit):
+    """Copy a weights directory, passing its manifest lines through ``edit``."""
+    shutil.copytree(src, dst)
+    lines = (dst / "manifest").read_text(encoding="utf-8").splitlines()
+    (dst / "manifest").write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return dst
+
+
+def test_unedited_copies_load(dirs, tmp_path):
+    for kind, load in LOADERS.items():
+        load(_edit(dirs / kind, tmp_path / kind, lambda lines: lines))
+
+
+@pytest.mark.parametrize("kind,other", [("weights", "qweights"), ("qweights", "weights")])
+def test_other_format_rejected(dirs, kind, other):
+    with pytest.raises(ParseError, match="not a murmurkit"):
+        LOADERS[other](dirs / kind)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_other_version_rejected(dirs, kind, tmp_path):
+    def version_2(lines):
+        return [lines[0].rsplit("\t", 1)[0] + "\t2", *lines[1:]]
+
+    with pytest.raises(ParseError):
+        LOADERS[kind](_edit(dirs / kind, tmp_path / "d", version_2))
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_swapped_variant_rejected(dirs, kind, tmp_path):
+    def baseline(lines):
+        return [("variant\tbaseline" if l.startswith("variant\t") else l) for l in lines]
+
+    with pytest.raises(ParseError, match="layer"):
+        LOADERS[kind](_edit(dirs / kind, tmp_path / "d", baseline))
+
+
+@pytest.mark.parametrize("op", [0, 3, 7])
+def test_dropped_op_row_rejected(dirs, op, tmp_path):
+    def drop(lines):
+        return [l for l in lines if not l.startswith(f"op\t{op}\t")]
+
+    with pytest.raises(ParseError):
+        load_qnetwork(_edit(dirs / "qweights", tmp_path / "d", drop))
+
+
+@pytest.mark.parametrize("kind,columns", [("weights", 5), ("qweights", 6)])
+def test_tensor_row_missing_a_column_rejected(dirs, kind, columns, tmp_path):
+    for col in range(1, columns):
+
+        def drop(lines):
+            first = next(i for i, l in enumerate(lines) if l.startswith("tensor\t"))
+            fields = lines[first].split("\t")
+            assert len(fields) == columns
+            del fields[col]
+            return [*lines[:first], "\t".join(fields), *lines[first + 1 :]]
+
+        with pytest.raises(ParseError):
+            LOADERS[kind](_edit(dirs / kind, tmp_path / f"d{col}", drop))
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_transposed_tensor_shape_rejected(dirs, kind, tmp_path):
+    def transpose(lines):
+        return [l.replace("\t16,1,3,3\t", "\t1,16,3,3\t") for l in lines]
+
+    with pytest.raises(ParseError):
+        LOADERS[kind](_edit(dirs / kind, tmp_path / "d", transpose))
+
+
+def test_cli_resources_rejects_int8_weights(dirs, capsys):
+    assert run(["resources", "--weights", str(dirs / "qweights")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
