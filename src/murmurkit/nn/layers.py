@@ -22,10 +22,18 @@ top-right, bottom-left, bottom-right), that equals the max: the element
 so even a +0/-0 tie matches it. For finite values the kernels match, byte
 for byte, the gather/scatter and allocate-per-call formulation kept as
 oracles in tests/test_kernel_identity.py.
+
+Dropout keeps an element where the generator's next uniform draw (float64
+for float64 inputs, float32 otherwise) is >= p, exactly as comparing
+``rng.random(size, dtype)`` with p would, but it reads each decision from
+PCG64's raw 64-bit words instead of building the floats; the generator
+then stands where the float draw would leave it (``_dropout_gate``). Other
+bit generators are refused, since their floats come from other bits.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -197,7 +205,9 @@ class Conv3x3:
             self._cache = (cols, x.shape)
         return out.reshape(n, self.out_ch, h, w)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter gradients and return the input gradient,
+        or None when ``input_grad`` is False (the network's first layer)."""
         if self._cache is None:
             raise StateError("conv backward without cached forward")
         cols, x_shape = self._cache
@@ -209,6 +219,8 @@ class Conv3x3:
         np.matmul(g, cols.transpose(0, 2, 1), out=dw_n)
         self.w.grad += dw_n.sum(axis=0).reshape(self.w.value.shape)
         self.b.grad += g.sum(axis=(0, 2))
+        if not input_grad:
+            return None
         wm = self.w.value.reshape(self.out_ch, self.in_ch * 9)
         dcols = self._ws.get("dcols", (n, self.in_ch * 9, h * w), g.dtype)
         np.matmul(wm.T, g, out=dcols)
@@ -239,6 +251,54 @@ class ReLU:
         return dx
 
 
+# Generator words per random_raw call: it returns a new array each call, so
+# drawing a whole batch at once would allocate a temporary as large as the
+# float draw it replaces.
+_GATE_CHUNK = 16384
+
+
+def _dropout_gate(rng, p: float, float32: bool, gate: np.ndarray) -> None:
+    """Fill the flat bool array ``gate`` with ``rng.random(gate.size, dtype)
+    >= p`` (dtype float32 or float64) from PCG64's raw 64-bit words.
+
+    ``random`` makes a float64 from the top 53 bits of a word and a float32
+    from the top 24 bits of a uint32, taking each word's low half first and
+    buffering the high half for the next uint32. Those floats are multiples
+    of 2**-53 and 2**-24, so the comparison with p (float32(p) for float32,
+    as numpy compares a float32 array with a Python float) is a comparison
+    of the word with ceil(p * 2**53) << 11 or ceil(float32(p) * 2**24) << 8.
+    The generator ends in the state the float draw leaves, buffered half
+    included.
+    """
+    bits = getattr(rng, "bit_generator", None)
+    if type(bits) is not np.random.PCG64:
+        raise ConfigError(f"dropout needs a PCG64 generator, got {type(bits).__name__}")
+    size = gate.size
+    if not float32:
+        threshold = math.ceil(p * 2.0**53) << 11
+        for lo in range(0, size, _GATE_CHUNK):
+            words = bits.random_raw(min(_GATE_CHUNK, size - lo))
+            np.greater_equal(words, threshold, out=gate[lo : lo + len(words)])
+        return
+    threshold = math.ceil(float(np.float32(p)) * 2.0**24) << 8
+    state = bits.state
+    first = 1 if state["has_uint32"] and size else 0
+    if first:
+        gate[0] = state["uinteger"] >= threshold
+    halves = None
+    for lo in range(first, size, 2 * _GATE_CHUNK):
+        count = min(2 * _GATE_CHUNK, size - lo)
+        # Read as little-endian uint32 pairs, each word gives its low half first.
+        halves = bits.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
+        np.greater_equal(halves[:count], threshold, out=gate[lo : lo + count])
+    if first or halves is not None:
+        state = bits.state
+        state["has_uint32"] = (size - first) % 2
+        if halves is not None:
+            state["uinteger"] = int(halves[-1])
+        bits.state = state
+
+
 class Dropout:
     def __init__(self, p: float = 0.1):
         if not 0.0 <= p < 1.0:
@@ -255,11 +315,8 @@ class Dropout:
             if train:
                 self._cache = None  # identity backward
             return x
-        draw_dtype = np.float64 if x.dtype == np.float64 else np.float32
-        draw = self._ws.get("draw", x.shape, draw_dtype)
-        rng.random(out=draw.reshape(-1), dtype=draw_dtype)
         gate = self._ws.get("gate", x.shape, np.bool_)
-        np.greater_equal(draw, self.p, out=gate)
+        _dropout_gate(rng, self.p, x.dtype != np.float64, gate.reshape(-1))
         scale = np.array(1.0 / (1.0 - self.p), dtype=x.dtype)
         # The gate is exactly 0 or 1, so (x * gate) * scale has the bytes of
         # x * (gate * scale) without a separate mask pass.

@@ -143,25 +143,62 @@ class Network:
     # -- forward / backward ---------------------------------------------
 
     def forward(
-        self, x: np.ndarray, mode: str = "eval", rng: np.random.Generator | None = None
+        self,
+        x: np.ndarray,
+        mode: str = "eval",
+        rng: np.random.Generator | None = None,
+        *,
+        start: int = 0,
     ) -> np.ndarray:
         """Run the stack; returns class probabilities of shape (N, 2).
 
         ``mode`` is "eval" (deterministic), "train" (dropout active, caches
-        kept for backward), or "mcd" (dropout active, no caches).
+        kept for backward), or "mcd" (dropout active, no caches). A non-train
+        pass may resume at layer ``start`` from the output of the layers
+        before it (``stem``); that input is used as given, so a broadcast
+        view of one row stays a view.
         """
         if mode not in ("train", "eval", "mcd"):
             raise ConfigError(f"unknown forward mode {mode!r}")
-        if x.ndim == 3:
-            x = x[None, ...]
-        if x.ndim != 4:
-            raise ShapeError(f"expected (N, C, H, W) input, got shape {x.shape}")
         train = mode == "train"
+        if train and start:
+            raise ConfigError("a train-mode pass starts at the first layer")
         dropout_active = mode in ("train", "mcd")
         if dropout_active and rng is None and any(isinstance(l, L.Dropout) and l.p > 0 for l in self.layers):
             raise ConfigError(f"mode {mode!r} requires an rng for dropout")
-        h = np.ascontiguousarray(x, dtype=self.dtype)
-        for layer in self.layers:
+        h = self._run(x, start, len(self.layers), train, dropout_active, rng)
+        if train:
+            self._probs = h
+        # A non-train forward overwrites layer workspaces, so any previously
+        # cached train pass can no longer back its backward.
+        self._train_cached = train
+        return h
+
+    def stem(self, x: np.ndarray) -> tuple[int, np.ndarray]:
+        """Eval output of the layers before the first Dropout, and that
+        layer's index: where ``forward(..., start=...)`` resumes.
+
+        The stem is deterministic in every mode, so MC dropout runs it once
+        per segment. The output is a workspace view that the next pass
+        through the stem overwrites.
+        """
+        start = next(
+            (i for i, l in enumerate(self.layers) if isinstance(l, L.Dropout)), len(self.layers)
+        )
+        h = self._run(x, 0, start, False, False, None)
+        self._train_cached = False
+        return start, h
+
+    def _run(self, x, lo: int, hi: int, train: bool, dropout_active: bool, rng) -> np.ndarray:
+        if lo:
+            h = np.asarray(x, dtype=self.dtype)
+        else:
+            if x.ndim == 3:
+                x = x[None, ...]
+            if x.ndim != 4:
+                raise ShapeError(f"expected (N, C, H, W) input, got shape {x.shape}")
+            h = np.ascontiguousarray(x, dtype=self.dtype)
+        for layer in self.layers[lo:hi]:
             if layer is None:
                 # softmax computes in float64 for stability; keep the
                 # network dtype so backward does not silently promote
@@ -170,18 +207,15 @@ class Network:
                 h = layer.forward(h, train, active=dropout_active, rng=rng)
             else:
                 h = layer.forward(h, train)
-        if train:
-            self._probs = h
-        # A non-train forward overwrites layer workspaces, so any previously
-        # cached train pass can no longer back its backward.
-        self._train_cached = train
         return h
 
     def backward(self, labels: np.ndarray) -> list[np.ndarray]:
         """Backpropagate mean cross-entropy; returns gradients in parameter order.
 
         The softmax + cross-entropy pair is fused: the gradient entering the
-        final linear layer is (probs - onehot) / N.
+        final linear layer is (probs - onehot) / N. Nothing consumes the
+        gradient of the network input, so a first conv layer computes only
+        its parameter gradients.
         """
         if not self._train_cached or self._probs is None:
             raise StateError("backward requires a forward pass in train mode")
@@ -193,10 +227,14 @@ class Network:
         onehot = np.zeros((n, k), dtype=probs.dtype)
         onehot[np.arange(n), labels] = 1
         grad = (probs - onehot) / n
-        for layer in reversed(self.layers):
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[i]
             if layer is None:
                 continue  # fused with cross-entropy above
-            grad = layer.backward(grad)
+            if i == 0 and isinstance(layer, L.Conv3x3):
+                layer.backward(grad, input_grad=False)
+            else:
+                grad = layer.backward(grad)
         self._train_cached = False
         return [p.grad.copy() for p in self.parameters()]
 

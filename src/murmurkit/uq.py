@@ -1,6 +1,8 @@
 """Monte Carlo Dropout inference and confidence scoring.
 
-One deterministic pass plus N stochastic passes per segment. Entropy of the
+One deterministic pass plus N stochastic passes per segment; the layers
+before the first dropout layer are deterministic, so they run once per
+segment and every pass continues from their output. Entropy of the
 mean softmax (natural log, normalized by ln 2), coherence of the binary
 pass predictions (1 - 4 * population variance), and their blend
 CS = alpha * (1 - E) + (1 - alpha) * C all live in [0, 1].
@@ -89,10 +91,8 @@ def _scores(
     pass_preds = pass_probs.argmax(axis=1)
     if entropy_mode == "entropy_of_mean":
         e = entropy(pass_probs.mean(axis=0))
-    elif entropy_mode == "mean_of_entropies":
+    else:  # "mean_of_entropies", checked by mcd_predict_batch
         e = float(np.mean([entropy(row) for row in pass_probs]))
-    else:
-        raise ConfigError(f"entropy_mode must be one of {ENTROPY_MODES}, got {entropy_mode!r}")
     c = coherence(pass_preds)
     return McdResult(
         deterministic_probs=det_probs,
@@ -115,25 +115,34 @@ def mcd_predict_batch(
 ) -> list[McdResult]:
     """MC-Dropout over a stack of inputs (B, 1, F, T).
 
-    The deterministic pass runs in eval mode. Each segment's n stochastic
-    passes run as one batch with dropout active, drawn from the segment's
-    own spawned RNG stream, so results do not depend on how the stack was
-    batched.
+    The layers before the first dropout layer (the stem: conv -> ReLU in
+    every variant) are deterministic, so they run once, in eval mode, over
+    the whole stack. The deterministic pass continues from the stem output;
+    each segment's n stochastic passes continue from a broadcast view of
+    its stem row as one n-row batch with dropout active, drawn from the
+    segment's own spawned RNG stream, so results do not depend on how the
+    stack was batched. The results are byte-identical to running every pass
+    from the input, as the oracles in tests/test_mcd_identity.py do.
     """
     if n < 2:
         raise ConfigError(f"MC-Dropout needs n >= 2 stochastic passes, got {n}")
+    if entropy_mode not in ENTROPY_MODES:
+        raise ConfigError(f"entropy_mode must be one of {ENTROPY_MODES}, got {entropy_mode!r}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     if not any(isinstance(l, Dropout) for l in net.layers):
         raise ConfigError("network has no dropout layers; MC-Dropout is undefined")
     inputs = np.asarray(inputs, dtype=np.float32)
     if len(inputs) == 0:
         return []
-    det = net.forward(inputs, mode="eval")
+    start, stem = net.stem(inputs)
+    det = net.forward(stem, mode="eval", start=start)
     children = np.random.SeedSequence(seed).spawn(len(inputs))
     out = []
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        batch = np.broadcast_to(inputs[i][None, ...], (n, *inputs[i].shape)).copy()
-        pass_probs = net.forward(batch, mode="mcd", rng=rng)
+        rows = np.broadcast_to(stem[i], (n, *stem.shape[1:]))
+        pass_probs = net.forward(rows, mode="mcd", rng=rng, start=start)
         out.append(_scores(det[i], pass_probs, alpha, entropy_mode))
     return out
 

@@ -13,6 +13,7 @@ behind must match bit for bit, in float32 and float64.
 import numpy as np
 import pytest
 
+from murmurkit.errors import ConfigError
 from murmurkit.nn import build_model
 from murmurkit.nn import layers as L
 from murmurkit.uq import _scores, mcd_predict_batch
@@ -176,6 +177,22 @@ def test_dropout_rate_edges_match_oracle(dtype, p):
     _assert_same_generator(rng, twin)
 
 
+@pytest.mark.parametrize(
+    "rng",
+    [
+        np.random.Generator(np.random.MT19937(0)),
+        np.random.Generator(np.random.Philox(0)),
+        np.random.RandomState(0),
+        None,
+    ],
+    ids=["MT19937", "Philox", "RandomState", "None"],
+)
+def test_dropout_refuses_generators_other_than_pcg64(rng):
+    # Their floats come from other bits, so a raw-word gate would change masks.
+    with pytest.raises(ConfigError):
+        L.Dropout(0.1).forward(np.ones((2, 3), np.float32), False, active=True, rng=rng)
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("train", [False, True])
 def test_dropout_on_broadcast_rows_matches_oracle(dtype, train):
@@ -187,8 +204,8 @@ def test_dropout_on_broadcast_rows_matches_oracle(dtype, train):
     _same_bytes(layer.forward(x, train, active=True, rng=rng), oracle_dropout(0.1, x.copy(), twin))
     if train:
         grad = np.random.default_rng(6).standard_normal(x.shape).astype(dtype)
-        gate = np.random.default_rng(4).random(x.size, dtype=np.float64 if dtype is np.float64 else np.float32)
-        want = (grad * (gate.reshape(x.shape) >= 0.1)) * np.array(1 / 0.9, dtype=dtype)
+        draw = np.random.default_rng(4).random(x.size, dtype=dtype).reshape(x.shape)
+        want = (grad * (draw >= 0.1)) * np.array(1 / 0.9, dtype=dtype)
         _same_bytes(layer.backward(grad), want)
     _assert_same_generator(rng, twin)
 

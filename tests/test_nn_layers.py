@@ -146,6 +146,19 @@ class TestConv2d:
         with pytest.raises(StateError):
             layer.backward(np.zeros((1, 1, 2, 2)))
 
+    def test_parameter_gradients_without_input_gradient(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 3, 6, 8))
+        grad = rng.standard_normal((2, 4, 6, 8))
+        full = L.Conv3x3(3, 4, rng=np.random.default_rng(0), dtype=np.float64)
+        params_only = L.Conv3x3(3, 4, rng=np.random.default_rng(0), dtype=np.float64)
+        for layer in (full, params_only):
+            layer.forward(x, True)
+        full.backward(grad)
+        assert params_only.backward(grad, input_grad=False) is None
+        for a, b in zip(full.params(), params_only.params()):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
 
 class TestMaxPool:
     def test_single_block(self):

@@ -189,3 +189,34 @@ class TestModes:
         net = build_model("light", seed=0)
         with pytest.raises(ConfigError):
             net.forward(np.zeros((1, 1, 33, 124), dtype=np.float32), mode="mcd")
+
+    def test_train_pass_cannot_resume_after_the_stem(self):
+        net = build_model("light", seed=0)
+        start, h = net.stem(np.zeros((1, 1, 33, 124), dtype=np.float32))
+        with pytest.raises(ConfigError):
+            net.forward(h, mode="train", rng=np.random.default_rng(0), start=start)
+
+
+class TestStem:
+    def test_stem_ends_before_the_first_dropout(self):
+        net = build_model("baseline", seed=0)
+        x = np.random.default_rng(4).standard_normal((3, 1, 33, 124)).astype(np.float32)
+        start, h = net.stem(x)
+        assert start == 2 and isinstance(net.layers[start], L.Dropout)
+        assert h.shape == (3, 32, 33, 124) and h.min() >= 0
+
+    def test_resumed_eval_pass_matches_the_full_pass(self):
+        net = build_model("light", seed=5)
+        x = np.random.default_rng(1).standard_normal((4, 1, 33, 124)).astype(np.float32)
+        want = net.forward(x, mode="eval")
+        start, h = net.stem(x)
+        assert net.forward(h, mode="eval", start=start).tobytes() == want.tobytes()
+
+    def test_stem_invalidates_a_cached_train_pass(self):
+        # The stem overwrites the first conv's cached im2col workspace.
+        net = build_model("light", seed=0)
+        x = np.zeros((2, 1, 33, 124), dtype=np.float32)
+        net.forward(x, mode="train", rng=np.random.default_rng(0))
+        net.stem(x)
+        with pytest.raises(StateError):
+            net.backward(np.array([0, 1]))

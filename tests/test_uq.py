@@ -137,6 +137,37 @@ class TestMcdPredict:
         with pytest.raises(ConfigError):
             mcd_predict_batch(net, _x()[None], n=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"entropy_mode": "entropy"}, {"alpha": 1.5}, {"alpha": float("nan")}]
+    )
+    def test_bad_scoring_arguments_rejected_before_any_layer_runs(self, light_net, monkeypatch, kwargs):
+        calls = []
+        conv_forward = L.Conv3x3.forward
+
+        def spy(self, *args, **kw):
+            calls.append(self)
+            return conv_forward(self, *args, **kw)
+
+        monkeypatch.setattr(L.Conv3x3, "forward", spy)
+        for stack in (np.zeros((0, 1, 33, 124), np.float32), np.stack([_x(0), _x(1)])):
+            with pytest.raises(ConfigError):
+                mcd_predict_batch(light_net, stack, n=10, seed=0, **kwargs)
+        assert calls == []
+
+    @pytest.mark.parametrize("segments", [1, 4])
+    def test_one_eval_forward_then_one_mcd_forward_per_segment(self, light_net, monkeypatch, segments):
+        # The benchmark's trace counts these calls and their rows.
+        calls = []
+        forward = Network.forward
+
+        def spy(self, x, mode="eval", *args, **kw):
+            calls.append((len(x), mode))
+            return forward(self, x, mode, *args, **kw)
+
+        monkeypatch.setattr(Network, "forward", spy)
+        mcd_predict_batch(light_net, np.stack([_x(i) for i in range(segments)]), n=7, seed=0)
+        assert calls == [(segments, "eval")] + [(7, "mcd")] * segments
+
     def test_batch_matches_shapes(self, light_net):
         inputs = np.stack([_x(i) for i in range(4)])
         results = mcd_predict_batch(light_net, inputs, n=5, seed=9)
