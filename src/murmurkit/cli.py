@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: synth, features, train, cv, infer, quantize, resources,
-uq-report. Reports are tab-separated text with the resolved config echoed in
-the header; exit code 2 signals a bad config, 3 a missing input.
+Subcommands: synth, train, cv, infer, quantize, resources, uq-report.
+Reports are tab-separated text with the resolved config echoed in the
+header; exit code 2 signals a bad config, 3 a missing input.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import dsp, pipeline, resources, uq
+from . import pipeline, resources, uq
 from .dataset import Split
 from .errors import ConfigError, MurmurKitError
 from .nn import Variant, load_network, variant_specs
@@ -72,33 +72,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_features(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = Split(args.split)
-    index_lines = cfg.header_lines("features")
-    index_lines.append("patient_id\tlocation\tcache_file\tsegments_kept\tsegments_total")
-    for record in manifest.records(split):
-        for ref in record.recordings:
-            wf = pipeline.load_waveform(base, record, ref)
-            segs = dsp.segment(wf, window_s=cfg.window_s, hop_s=cfg.hop_s)
-            if not segs:
-                continue
-            specs = [dsp.stft_spectrogram(s, cfg.n_fft) for s in segs]
-            report = dsp.quality_filter(specs, cfg.psd_thr, min_keep=cfg.min_keep)
-            kept = [specs[i] for i in report.kept_indices()]
-            fname = f"{record.patient_id}_{ref.location.value}.mesf"
-            dsp.write_feature_cache(out / fname, kept)
-            index_lines.append(
-                f"{record.patient_id}\t{ref.location.value}\t{fname}\t{len(kept)}\t{len(specs)}"
-            )
-    (out / "features_index.tsv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
-    print(f"wrote feature caches under {out}")
-    return 0
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
@@ -112,11 +85,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid(text: str, kind, flag: str) -> list | None:
+    if not text:
+        return None
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _cmd_cv(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
-    n_fft_grid = [int(v) for v in args.n_fft_grid.split(",")] if args.n_fft_grid else None
-    psd_grid = [float(v) for v in args.psd_thr_grid.split(",")] if args.psd_thr_grid else None
+    n_fft_grid = _grid(args.n_fft_grid, int, "--n-fft-grid")
+    psd_grid = _grid(args.psd_thr_grid, float, "--psd-thr-grid")
     report = pipeline.cv_run(manifest, base, cfg, k=args.k, n_fft_grid=n_fft_grid, psd_thr_grid=psd_grid)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(report, encoding="utf-8")
@@ -197,13 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("features", help="write feature cache files for a split")
-    p.add_argument("--manifest", type=Path, required=True)
-    p.add_argument("--split", choices=[s.value for s in Split], default="Train")
-    p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("train", help="train a variant with best-F1 checkpointing")
     p.add_argument("--manifest", type=Path, required=True)

@@ -245,14 +245,21 @@ def write_recording(path: str | Path, waveform: Waveform) -> None:
 
 
 def resample(waveform: Waveform, target_rate_hz: int = PIPELINE_RATE_HZ) -> Waveform:
-    """Linear-interpolation resampling to the pipeline rate."""
+    """FFT-domain resampling to the pipeline rate.
+
+    The spectrum is cut (or zero-padded) at the output's Nyquist bin, so
+    content above it is removed instead of folding into the low band.
+    """
     if waveform.sample_rate_hz == target_rate_hz:
         return waveform
-    n_out = int(round(len(waveform.samples) * target_rate_hz / waveform.sample_rate_hz))
-    t_out = np.arange(n_out) / target_rate_hz
-    t_in = np.arange(len(waveform.samples)) / waveform.sample_rate_hz
-    samples = np.interp(t_out, t_in, waveform.samples.astype(np.float64)).astype(np.float32)
-    return replace(waveform, samples=samples, sample_rate_hz=target_rate_hz)
+    n_in = len(waveform.samples)
+    n_out = int(round(n_in * target_rate_hz / waveform.sample_rate_hz))
+    if n_out == 0:
+        return replace(waveform, samples=np.zeros(0, dtype=np.float32), sample_rate_hz=target_rate_hz)
+    spec = np.fft.rfft(waveform.samples.astype(np.float64))[: n_out // 2 + 1]
+    spec = np.pad(spec, (0, n_out // 2 + 1 - len(spec)))
+    samples = np.fft.irfft(spec, n=n_out) * (n_out / n_in)
+    return replace(waveform, samples=samples.astype(np.float32), sample_rate_hz=target_rate_hz)
 
 
 # --- Synthetic phonocardiogram generator -----------------------------------

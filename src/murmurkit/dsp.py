@@ -8,15 +8,12 @@ ratio clears a threshold, never dropping below the minimum per location.
 from __future__ import annotations
 
 import math
-import struct
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import PIPELINE_RATE_HZ, Location, Waveform
-from .errors import ConfigError, ParseError, ShapeError, TooShortError
+from .dataset import PIPELINE_RATE_HZ, Waveform
+from .errors import ConfigError, TooShortError
 
 FREQ_CUTOFF_HZ = 1000.0
 BAND_LO_HZ = 20.0
@@ -31,8 +28,6 @@ class Segment:
 
     samples: np.ndarray
     start_s: float
-    patient_id: str = ""
-    location: Location = Location.OTHER
 
 
 @dataclass(frozen=True)
@@ -42,8 +37,6 @@ class Spectrogram:
     bins: np.ndarray  # (F, T), |X|^2
     n_fft: int
     freq_resolution_hz: float
-    patient_id: str = ""
-    location: Location = Location.OTHER
     start_s: float = 0.0
 
     @property
@@ -78,18 +71,10 @@ def segment(waveform: Waveform, window_s: float = 2.0, hop_s: float = 1.0) -> li
     if hop <= 0 or len(waveform.samples) < win:
         return []
     count = (len(waveform.samples) - win) // hop + 1
-    out = []
-    for i in range(count):
-        lo = i * hop
-        out.append(
-            Segment(
-                samples=waveform.samples[lo : lo + win],
-                start_s=lo / rate,
-                patient_id=waveform.patient_id,
-                location=waveform.location,
-            )
-        )
-    return out
+    return [
+        Segment(samples=waveform.samples[lo : lo + win], start_s=lo / rate)
+        for lo in range(0, count * hop, hop)
+    ]
 
 
 def hann_periodic(n: int) -> np.ndarray:
@@ -131,8 +116,6 @@ def stft_spectrogram(seg: Segment, n_fft: int) -> Spectrogram:
         bins=np.ascontiguousarray(power[:f_keep]),
         n_fft=n_fft,
         freq_resolution_hz=PIPELINE_RATE_HZ / n_fft,
-        patient_id=seg.patient_id,
-        location=seg.location,
         start_s=seg.start_s,
     )
 
@@ -190,50 +173,3 @@ def model_input(spec: Spectrogram) -> np.ndarray:
         x = (x - x.mean()) / std
     return x[None, :, :].astype(np.float32)
 
-
-# --- Feature cache ----------------------------------------------------------
-
-_CACHE_MAGIC = b"MESF"
-_CACHE_VERSION = 1
-
-
-def write_feature_cache(path: str | Path, specs: list[Spectrogram]) -> None:
-    """Write spectrograms of one recording as a binary container.
-
-    Layout: magic "MESF", version byte, then u32 n_fft, F, T, count, then
-    ``count`` row-major float32 little-endian (F, T) matrices.
-    """
-    if not specs:
-        raise ConfigError("feature cache requires at least one spectrogram")
-    f, t = specs[0].shape
-    n_fft = specs[0].n_fft
-    for s in specs:
-        if s.shape != (f, t) or s.n_fft != n_fft:
-            raise ShapeError("all spectrograms in a cache file must share shape and n_fft")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<B", _CACHE_VERSION))
-        fh.write(struct.pack("<IIII", n_fft, f, t, len(specs)))
-        for s in specs:
-            fh.write(np.ascontiguousarray(s.bins, dtype="<f4").tobytes())
-
-
-def read_feature_cache(path: str | Path) -> tuple[int, np.ndarray]:
-    """Read a feature cache file; returns (n_fft, array of shape (count, F, T))."""
-    data = Path(path).read_bytes()
-    if len(data) < 21 or data[:4] != _CACHE_MAGIC:
-        raise ParseError(f"{path}: not a feature cache file")
-    (version,) = struct.unpack_from("<B", data, 4)
-    if version != _CACHE_VERSION:
-        raise ParseError(f"{path}: unsupported cache version {version}")
-    n_fft, f, t, count = struct.unpack_from("<IIII", data, 5)
-    body = data[21:]
-    expected = count * f * t * 4
-    if len(body) < expected:
-        raise ParseError(f"{path}: truncated cache payload")
-    mats = np.frombuffer(body[:expected], dtype="<f4").reshape(count, f, t)
-    return int(n_fft), mats.astype(np.float64)
-
-
-def cache_checksum(path: str | Path) -> int:
-    return zlib.crc32(Path(path).read_bytes())

@@ -54,9 +54,6 @@ class FoldAssignment:
     k: int
     assignment: dict[str, int]
 
-    def fold_of(self, patient_id: str) -> int:
-        return self.assignment[patient_id]
-
     def folds(self) -> list[list[str]]:
         out: list[list[str]] = [[] for _ in range(self.k)]
         for pid, f in self.assignment.items():
@@ -66,6 +63,8 @@ class FoldAssignment:
 
 def patient_kfold(patient_ids, k: int = 5, seed: int = 0) -> FoldAssignment:
     """Seeded shuffle then round-robin assignment; fold sizes differ by <= 1."""
+    if k < 2:
+        raise ConfigError(f"k must be >= 2, got {k}")
     ids = list(patient_ids)
     if len(set(ids)) != len(ids):
         raise ConfigError("patient ids must be unique")

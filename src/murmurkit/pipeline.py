@@ -258,7 +258,6 @@ class LocationFeatures:
     location: Location
     inputs: np.ndarray  # (k, 1, F, T) float32, kept segments only
     start_s: tuple[float, ...]
-    ratios: tuple[float, ...]
     n_total_segments: int
 
 
@@ -291,8 +290,7 @@ def recording_features(
     if not segs:
         return None
     specs = [dsp.stft_spectrogram(s, cfg.n_fft) for s in segs]
-    report = dsp.quality_filter(specs, cfg.psd_thr, min_keep=cfg.min_keep)
-    kept = report.kept_indices()
+    kept = dsp.quality_filter(specs, cfg.psd_thr, min_keep=cfg.min_keep).kept_indices()
     inputs = np.stack([dsp.model_input(specs[i]) for i in kept]) if kept else np.zeros(
         (0, 1, 1, 1), dtype=np.float32
     )
@@ -300,9 +298,24 @@ def recording_features(
         location=waveform.location,
         inputs=inputs,
         start_s=tuple(specs[i].start_s for i in kept),
-        ratios=tuple(report.ratios[i] for i in kept),
         n_total_segments=len(segs),
     )
+
+
+def _features_by_record(
+    records: list[PatientRecord], base_dir: str | Path, cfg: PipelineConfig, hops=None
+) -> list[list[LocationFeatures]]:
+    """Each record's recordings loaded, resampled and gated at its hop in
+    ``hops`` (the configured hop when None), in manifest order; recordings
+    too short to segment are left out."""
+    base = Path(base_dir)
+
+    def one(item: tuple[PatientRecord, float | None]) -> list[LocationFeatures]:
+        record, hop = item
+        feats = [recording_features(load_waveform(base, record, ref), cfg, hop) for ref in record.recordings]
+        return [lf for lf in feats if lf is not None]
+
+    return _parallel_map(one, zip(records, hops or [None] * len(records)))
 
 
 def eval_features(
@@ -312,79 +325,65 @@ def eval_features(
     cfg: PipelineConfig,
     include_unknown: bool = True,
 ) -> list[PatientFeatures]:
-    """Per-patient gated features at the evaluation hop (no oversampling)."""
-    base = Path(base_dir)
+    """Per-patient gated features at the evaluation hop (no oversampling),
+    merged by location in location-name order."""
     records = [
         r
         for r in manifest.records(split)
         if include_unknown or r.murmur_label is not MurmurLabel.UNKNOWN
     ]
-
-    def one(record: PatientRecord) -> PatientFeatures:
-        per_loc: dict[Location, list[LocationFeatures]] = {}
-        for ref in record.recordings:
-            wf = load_waveform(base, record, ref)
-            lf = recording_features(wf, cfg)
-            if lf is not None:
-                per_loc.setdefault(ref.location, []).append(lf)
+    out = []
+    for record, feats in zip(records, _features_by_record(records, base_dir, cfg)):
         merged = []
-        for loc in sorted(per_loc, key=lambda l: l.value):
-            parts = per_loc[loc]
+        for loc in sorted({lf.location for lf in feats}, key=lambda l: l.value):
+            parts = [lf for lf in feats if lf.location is loc]
             merged.append(
                 LocationFeatures(
                     location=loc,
                     inputs=np.concatenate([p.inputs for p in parts], axis=0),
                     start_s=tuple(s for p in parts for s in p.start_s),
-                    ratios=tuple(r for p in parts for r in p.ratios),
                     n_total_segments=sum(p.n_total_segments for p in parts),
                 )
             )
-        return PatientFeatures(record.patient_id, record.murmur_label, merged)
+        out.append(PatientFeatures(record.patient_id, record.murmur_label, merged))
+    return out
 
-    return _parallel_map(one, records)
+
+def _training_stacks(
+    manifest: DatasetManifest, base_dir: str | Path, cfg: PipelineConfig
+) -> dict[str, tuple[list[np.ndarray], int]]:
+    """patient_id: (kept input stacks, label) for each Known Train patient
+    with usable audio, in manifest order.
+
+    Present recordings are segmented with the hop divided by
+    ``oversample_divisor`` to rebalance the classes; the PSD gate runs after
+    oversampling, as in the published pipeline.
+    """
+    records = [r for r in manifest.records(Split.TRAIN) if r.murmur_label is not MurmurLabel.UNKNOWN]
+    labels = [int(r.murmur_label is MurmurLabel.PRESENT) for r in records]
+    hops = [cfg.hop_s / cfg.oversample_divisor if label else cfg.hop_s for label in labels]
+    stacks = {}
+    for record, label, feats in zip(records, labels, _features_by_record(records, base_dir, cfg, hops)):
+        xs = [lf.inputs for lf in feats if len(lf.inputs)]
+        if xs:
+            stacks[record.patient_id] = (xs, label)
+    return stacks
+
+
+def _concat_stacks(stacks: list[tuple[list[np.ndarray], int]]) -> tuple[np.ndarray, np.ndarray]:
+    if not stacks:
+        raise EmptyDatasetError(f"no usable recordings in split {Split.TRAIN.value}")
+    x = np.concatenate([a for xs, _ in stacks for a in xs], axis=0)
+    y = np.concatenate([np.full(len(a), label, dtype=np.int64) for xs, label in stacks for a in xs])
+    return x, y
 
 
 def training_features(
-    manifest: DatasetManifest,
-    base_dir: str | Path,
-    cfg: PipelineConfig,
-    include: set[str] | None = None,
-    split: Split = Split.TRAIN,
+    manifest: DatasetManifest, base_dir: str | Path, cfg: PipelineConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (X, y) training arrays with Present-class oversampling.
-
-    Unknown patients are excluded. Present recordings are segmented with the
-    hop divided by ``oversample_divisor`` to rebalance the classes; the PSD
-    gate runs after oversampling, as in the published pipeline.
-    """
-    base = Path(base_dir)
-    records = [
-        r
-        for r in manifest.records(split)
-        if r.murmur_label is not MurmurLabel.UNKNOWN
-        and (include is None or r.patient_id in include)
-    ]
-
-    def one(record: PatientRecord) -> tuple[np.ndarray, int]:
-        label = 1 if record.murmur_label is MurmurLabel.PRESENT else 0
-        hop = cfg.hop_s / cfg.oversample_divisor if label == 1 else cfg.hop_s
-        stacks = []
-        for ref in record.recordings:
-            wf = load_waveform(base, record, ref)
-            lf = recording_features(wf, cfg, hop_s=hop)
-            if lf is not None and len(lf.inputs):
-                stacks.append(lf.inputs)
-        if not stacks:
-            return np.zeros((0, 1, 1, 1), dtype=np.float32), label
-        return np.concatenate(stacks, axis=0), label
-
-    parts = _parallel_map(one, records)
-    xs = [x for x, _ in parts if len(x)]
-    if not xs:
-        raise EmptyDatasetError(f"no usable recordings in split {split.value}")
-    x = np.concatenate(xs, axis=0)
-    y = np.concatenate([np.full(len(px), lab, dtype=np.int64) for px, lab in parts if len(px)])
-    return x, y
+    """Flat (X, y) training arrays of the Known Train patients, with
+    Present-class oversampling (see ``_training_stacks``)."""
+    return _concat_stacks(list(_training_stacks(manifest, base_dir, cfg).values()))
 
 
 def flatten_segments(feats: list[PatientFeatures]) -> tuple[np.ndarray, np.ndarray]:
@@ -505,6 +504,8 @@ def infer_report(result: InferenceResult, cfg: PipelineConfig) -> str:
         )
         truth = result.truths.get(p.patient_id, MurmurLabel.UNKNOWN)
         lines.append(f"{p.patient_id}\t{truth.value}\t{p.label.value}\t{locs}")
+    predicted = {p.patient_id for p in result.predictions}
+    lines.extend(f"# no_usable_audio\t{pid}" for pid in result.truths if pid not in predicted)
     if result.patient_metrics is not None:
         m = result.patient_metrics
         lines.append(
@@ -589,7 +590,7 @@ def cv_run(
         for r in manifest.records(Split.TRAIN)
         if r.murmur_label is not MurmurLabel.UNKNOWN
     ]
-    folds = metrics.patient_kfold(pids, k=k, seed=stage_seed(cfg.seed, "data"))
+    folds = metrics.patient_kfold(pids, k=k, seed=stage_seed(cfg.seed, "data")).folds()
     n_fft_grid = n_fft_grid or [cfg.n_fft]
     psd_thr_grid = psd_thr_grid or [cfg.psd_thr]
 
@@ -598,16 +599,14 @@ def cv_run(
     for n_fft in n_fft_grid:
         for psd_thr in psd_thr_grid:
             point = replace(cfg, n_fft=n_fft, psd_thr=psd_thr)
+            stacks = _training_stacks(manifest, base_dir, point)
             all_feats = eval_features(
                 manifest, base_dir, Split.TRAIN, point, include_unknown=False
             )
             accs, f1s = [], []
-            for fold in range(k):
-                held = {pid for pid, f in folds.assignment.items() if f == fold}
-                rest = {pid for pid in pids if pid not in held}
-                train_x, train_y = training_features(manifest, base_dir, point, include=rest)
-                held_feats = [pf for pf in all_feats if pf.patient_id in held]
-                val_x, val_y = flatten_segments(held_feats)
+            for fold, held in enumerate(map(set, folds)):
+                train_x, train_y = _concat_stacks([v for pid, v in stacks.items() if pid not in held])
+                val_x, val_y = flatten_segments([pf for pf in all_feats if pf.patient_id in held])
                 net = build_model(point.variant, seed=stage_seed(point.seed, "init"))
                 fit(net, train_x, train_y, val_x, val_y, point.train_config())
                 m = metrics.binary_metrics(predict_labels(net, val_x), val_y)

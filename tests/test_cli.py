@@ -65,25 +65,6 @@ class TestResources:
         assert run(["resources", "--variant", "light", "--input-shape", "bogus"]) == 2
 
 
-class TestFeatures:
-    def test_writes_cache_files(self, corpus_dir, tmp_path):
-        out = tmp_path / "feats"
-        code = run(
-            [
-                "features",
-                "--manifest",
-                str(corpus_dir / "manifest.tsv"),
-                "--split",
-                "Train",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert (out / "features_index.tsv").exists()
-        assert list(out.glob("*.mesf"))
-
-
 class TestTrainInferQuantize:
     def test_train_outputs(self, trained_dir):
         assert (trained_dir / "weights" / "manifest").exists()
@@ -235,6 +216,17 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k", "0"], ["--k", "-1"], ["--n-fft-grid", "64,abc"], ["--psd-thr-grid", "0.1,x"]],
+    )
+    def test_bad_cv_input_exits_2(self, corpus_dir, tmp_path, flags, capsys):
+        manifest = str(corpus_dir / "manifest.tsv")
+        code = run(["cv", "--manifest", manifest, "--out", str(tmp_path / "cv.tsv"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "cv.tsv").exists()
 
     def test_config_file_flag(self, corpus_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -168,6 +168,32 @@ class TestResample:
         out = dataset.resample(wf, 4000)
         assert out.sample_rate_hz == 4000
         assert len(out.samples) == 4000
+        np.testing.assert_allclose(out.samples, 1.0, atol=1e-6)
+
+    def test_tone_above_nyquist_does_not_alias_into_gate_band(self):
+        # Linear interpolation folds 3.9 kHz at 8 kHz onto a full-amplitude
+        # 100 Hz tone at 4 kHz, right inside the 20-200 Hz PSD band.
+        t = np.arange(8000) / 8000
+        x = 0.5 * np.sin(2 * np.pi * 3900.0 * t)
+        out = dataset.resample(Waveform(x.astype(np.float32), 8000)).samples.astype(np.float64)
+        spec = np.fft.rfft(out)
+        freqs = np.fft.rfftfreq(len(out), 1 / 4000)
+        band = (freqs >= 20.0) & (freqs <= 200.0)
+        band_power = 2 * np.sum(np.abs(spec[band]) ** 2) / len(out) ** 2
+        assert band_power < 1e-6 * np.mean(x**2)
+
+    @pytest.mark.parametrize("rate", [8000, 2000, 44100])
+    def test_in_band_tone_keeps_its_amplitude(self, rate):
+        t = np.arange(2 * rate) / rate
+        wf = Waveform((0.5 * np.sin(2 * np.pi * 100.0 * t)).astype(np.float32), rate)
+        out = dataset.resample(wf)
+        assert len(out.samples) == 8000
+        want = 0.5 * np.sin(2 * np.pi * 100.0 * np.arange(8000) / 4000)
+        np.testing.assert_allclose(out.samples, want, atol=1e-6)
+
+    def test_too_few_samples_give_an_empty_waveform(self):
+        out = dataset.resample(Waveform(np.zeros(1, dtype=np.float32), 8000))
+        assert out.sample_rate_hz == 4000 and len(out.samples) == 0
 
 
 class TestSynthRecording:

@@ -1,4 +1,4 @@
-"""Segmentation, STFT, PSD gate, and the feature cache format."""
+"""Segmentation, STFT, the PSD gate and model input preparation."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurkit import dsp
-from murmurkit.dataset import Location, MurmurLabel, Waveform, synth_recording
+from murmurkit.dataset import Waveform
 from murmurkit.dsp import (
     Segment,
     Spectrogram,
@@ -17,7 +17,7 @@ from murmurkit.dsp import (
     segment,
     stft_spectrogram,
 )
-from murmurkit.errors import ConfigError, ParseError, ShapeError, TooShortError
+from murmurkit.errors import ConfigError, TooShortError
 
 
 def _wave(duration_s: float, rate: int = 4000) -> Waveform:
@@ -221,42 +221,3 @@ class TestModelInput:
     def test_constant_input_zeros(self):
         spec = Spectrogram(bins=np.full((33, 4), 2.5), n_fft=128, freq_resolution_hz=31.25)
         assert np.all(dsp.model_input(spec) == 0.0)
-
-
-class TestFeatureCache:
-    def test_round_trip(self, tmp_path):
-        wf = synth_recording(MurmurLabel.PRESENT, 6.0, seed=9)
-        specs = [stft_spectrogram(s, 128) for s in segment(wf, 2.0, 1.0)]
-        path = tmp_path / "rec.mesf"
-        dsp.write_feature_cache(path, specs)
-        n_fft, mats = dsp.read_feature_cache(path)
-        assert n_fft == 128
-        assert mats.shape == (len(specs), 33, 124)
-        for i, s in enumerate(specs):
-            np.testing.assert_allclose(mats[i], s.bins, rtol=1e-6)
-
-    def test_magic_guard(self, tmp_path):
-        path = tmp_path / "bogus.mesf"
-        path.write_bytes(b"NOPE" + bytes(40))
-        with pytest.raises(ParseError):
-            dsp.read_feature_cache(path)
-
-    def test_truncated_payload(self, tmp_path):
-        wf = synth_recording(MurmurLabel.ABSENT, 4.0, seed=2)
-        specs = [stft_spectrogram(s, 128) for s in segment(wf, 2.0, 1.0)]
-        path = tmp_path / "rec.mesf"
-        dsp.write_feature_cache(path, specs)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(ParseError):
-            dsp.read_feature_cache(path)
-
-    def test_mixed_shapes_rejected(self, tmp_path):
-        a = Spectrogram(bins=np.ones((33, 4)), n_fft=128, freq_resolution_hz=31.25)
-        b = Spectrogram(bins=np.ones((33, 5)), n_fft=128, freq_resolution_hz=31.25)
-        with pytest.raises(ShapeError):
-            dsp.write_feature_cache(tmp_path / "x.mesf", [a, b])
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            dsp.write_feature_cache(tmp_path / "x.mesf", [])

@@ -86,6 +86,11 @@ class TestPatientKfold:
         with pytest.raises(ConfigError):
             patient_kfold(["a", "a", "b", "c", "d"], k=2)
 
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_fewer_than_two_folds_rejected(self, k):
+        with pytest.raises(ConfigError, match="k must be >= 2"):
+            patient_kfold(["a", "b", "c", "d"], k=k)
+
 
 def _oracle_exact_p(a, b):
     """Independent enumeration oracle over all group assignments."""

@@ -7,7 +7,19 @@ import numpy as np
 import pytest
 
 from murmurkit import pipeline
-from murmurkit.dataset import MurmurLabel, Split, read_manifest, synth_recording
+from murmurkit.dataset import (
+    DatasetManifest,
+    Location,
+    ManifestEntry,
+    MurmurLabel,
+    PatientRecord,
+    RecordingRef,
+    Split,
+    Waveform,
+    read_manifest,
+    synth_recording,
+    write_recording,
+)
 from murmurkit.errors import ConfigError
 from murmurkit.nn import build_model
 from murmurkit.pipeline import PipelineConfig
@@ -66,8 +78,6 @@ class TestStageSeeds:
         assert pipeline.stage_seed(7, "init") != pipeline.stage_seed(8, "init")
 
     def test_segment_stream_depends_on_identity(self):
-        from murmurkit.dataset import Location
-
         a = pipeline.segment_stream_seed(1, "p1", Location.AV)
         b = pipeline.segment_stream_seed(1, "p1", Location.MV)
         c = pipeline.segment_stream_seed(1, "p2", Location.AV)
@@ -231,6 +241,27 @@ class TestTrainAndInfer:
         b = pipeline.infer_report(pipeline.infer_patients(net, feats, cfg, selective=True), cfg)
         assert a == b
         assert a.startswith("# murmurkit infer")
+        assert "no_usable_audio" not in a
+
+    @pytest.mark.parametrize("selective", [False, True])
+    def test_patient_without_usable_audio_is_reported(self, tmp_path, selective):
+        # "short" has one 1.5 s recording: too short for a 2 s window.
+        entries = []
+        wf = synth_recording(MurmurLabel.PRESENT, 7.0, seed=3)
+        for pid, n in (("ok", len(wf.samples)), ("short", 6000)):
+            write_recording(tmp_path / f"{pid}.wav", Waveform(wf.samples[:n], wf.sample_rate_hz))
+            record = PatientRecord(pid, MurmurLabel.PRESENT, (RecordingRef(Location.AV, f"{pid}.wav"),))
+            entries.append(ManifestEntry(Split.TEST, record))
+        cfg = PipelineConfig(seed=1)
+        feats = pipeline.eval_features(DatasetManifest(tuple(entries)), tmp_path, Split.TEST, cfg)
+        assert [pf.locations for pf in feats][1] == []
+        net = build_model("light", seed=0)
+        both = pipeline.infer_patients(net, feats, cfg, selective=selective)
+        assert [p.patient_id for p in both.predictions] == ["ok"]
+        report = pipeline.infer_report(both, cfg)
+        assert "# no_usable_audio\tshort" in report.splitlines()
+        alone = pipeline.infer_report(pipeline.infer_patients(net, feats[:1], cfg, selective=selective), cfg)
+        assert report.replace("# no_usable_audio\tshort\n", "") == alone
 
     def test_train_deterministic(self, corpus, tmp_path):
         manifest, base = corpus
