@@ -303,7 +303,10 @@ def recording_features(
 
 
 def _features_by_record(
-    records: list[PatientRecord], base_dir: str | Path, cfg: PipelineConfig, hops=None
+    records: list[PatientRecord],
+    base_dir: str | Path,
+    cfg: PipelineConfig,
+    hops: list[float] | None = None,
 ) -> list[list[LocationFeatures]]:
     """Each record's recordings loaded, resampled and gated at its hop in
     ``hops`` (the configured hop when None), in manifest order; recordings
@@ -372,7 +375,7 @@ def _training_stacks(
 
 def _concat_stacks(stacks: list[tuple[list[np.ndarray], int]]) -> tuple[np.ndarray, np.ndarray]:
     if not stacks:
-        raise EmptyDatasetError(f"no usable recordings in split {Split.TRAIN.value}")
+        raise EmptyDatasetError("no usable recordings in split Train")
     x = np.concatenate([a for xs, _ in stacks for a in xs], axis=0)
     y = np.concatenate([np.full(len(a), label, dtype=np.int64) for xs, label in stacks for a in xs])
     return x, y
