@@ -302,23 +302,13 @@ def recording_features(
     )
 
 
-def _features_by_record(
-    records: list[PatientRecord],
-    base_dir: str | Path,
-    cfg: PipelineConfig,
-    hops: list[float] | None = None,
-) -> list[list[LocationFeatures]]:
-    """Each record's recordings loaded, resampled and gated at its hop in
-    ``hops`` (the configured hop when None), in manifest order; recordings
-    too short to segment are left out."""
-    base = Path(base_dir)
-
-    def one(item: tuple[PatientRecord, float | None]) -> list[LocationFeatures]:
-        record, hop = item
-        feats = [recording_features(load_waveform(base, record, ref), cfg, hop) for ref in record.recordings]
-        return [lf for lf in feats if lf is not None]
-
-    return _parallel_map(one, zip(records, hops or [None] * len(records)))
+def _record_features(
+    base_dir: Path, record: PatientRecord, cfg: PipelineConfig, hop_s: float | None = None
+) -> list[LocationFeatures]:
+    """Each recording of a patient loaded, resampled and gated at ``hop_s``,
+    in manifest order; recordings too short to segment are left out."""
+    feats = [recording_features(load_waveform(base_dir, record, ref), cfg, hop_s) for ref in record.recordings]
+    return [lf for lf in feats if lf is not None]
 
 
 def eval_features(
@@ -330,13 +320,15 @@ def eval_features(
 ) -> list[PatientFeatures]:
     """Per-patient gated features at the evaluation hop (no oversampling),
     merged by location in location-name order."""
+    base = Path(base_dir)
     records = [
         r
         for r in manifest.records(split)
         if include_unknown or r.murmur_label is not MurmurLabel.UNKNOWN
     ]
-    out = []
-    for record, feats in zip(records, _features_by_record(records, base_dir, cfg)):
+
+    def one(record: PatientRecord) -> PatientFeatures:
+        feats = _record_features(base, record, cfg)
         merged = []
         for loc in sorted({lf.location for lf in feats}, key=lambda l: l.value):
             parts = [lf for lf in feats if lf.location is loc]
@@ -348,36 +340,39 @@ def eval_features(
                     n_total_segments=sum(p.n_total_segments for p in parts),
                 )
             )
-        out.append(PatientFeatures(record.patient_id, record.murmur_label, merged))
-    return out
+        return PatientFeatures(record.patient_id, record.murmur_label, merged)
+
+    return _parallel_map(one, records)
 
 
 def _training_stacks(
     manifest: DatasetManifest, base_dir: str | Path, cfg: PipelineConfig
-) -> dict[str, tuple[list[np.ndarray], int]]:
-    """patient_id: (kept input stacks, label) for each Known Train patient
-    with usable audio, in manifest order.
+) -> dict[str, tuple[np.ndarray, int]]:
+    """patient_id: (kept inputs, label) for each Known Train patient with
+    usable audio, in manifest order.
 
     Present recordings are segmented with the hop divided by
     ``oversample_divisor`` to rebalance the classes; the PSD gate runs after
     oversampling, as in the published pipeline.
     """
+    base = Path(base_dir)
     records = [r for r in manifest.records(Split.TRAIN) if r.murmur_label is not MurmurLabel.UNKNOWN]
-    labels = [int(r.murmur_label is MurmurLabel.PRESENT) for r in records]
-    hops = [cfg.hop_s / cfg.oversample_divisor if label else cfg.hop_s for label in labels]
-    stacks = {}
-    for record, label, feats in zip(records, labels, _features_by_record(records, base_dir, cfg, hops)):
-        xs = [lf.inputs for lf in feats if len(lf.inputs)]
-        if xs:
-            stacks[record.patient_id] = (xs, label)
-    return stacks
+
+    def one(record: PatientRecord) -> tuple[np.ndarray | None, int]:
+        label = int(record.murmur_label is MurmurLabel.PRESENT)
+        hop = cfg.hop_s / cfg.oversample_divisor if label else cfg.hop_s
+        xs = [lf.inputs for lf in _record_features(base, record, cfg, hop) if len(lf.inputs)]
+        return (np.concatenate(xs, axis=0) if xs else None), label
+
+    stacks = zip((r.patient_id for r in records), _parallel_map(one, records))
+    return {pid: stack for pid, stack in stacks if stack[0] is not None}
 
 
-def _concat_stacks(stacks: list[tuple[list[np.ndarray], int]]) -> tuple[np.ndarray, np.ndarray]:
+def _concat_stacks(stacks: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray]:
     if not stacks:
         raise EmptyDatasetError("no usable recordings in split Train")
-    x = np.concatenate([a for xs, _ in stacks for a in xs], axis=0)
-    y = np.concatenate([np.full(len(a), label, dtype=np.int64) for xs, label in stacks for a in xs])
+    x = np.concatenate([x for x, _ in stacks], axis=0)
+    y = np.concatenate([np.full(len(x), label, dtype=np.int64) for x, label in stacks])
     return x, y
 
 
