@@ -171,8 +171,8 @@ class TestResample:
         np.testing.assert_allclose(out.samples, 1.0, atol=1e-6)
 
     def test_tone_above_nyquist_does_not_alias_into_gate_band(self):
-        # Linear interpolation folds 3.9 kHz at 8 kHz onto a full-amplitude
-        # 100 Hz tone at 4 kHz, right inside the 20-200 Hz PSD band.
+        # 3.9 kHz sampled at 8 kHz aliases to 100 Hz at 4 kHz, inside the
+        # 20-200 Hz PSD band, unless it is removed before decimation.
         t = np.arange(8000) / 8000
         x = 0.5 * np.sin(2 * np.pi * 3900.0 * t)
         out = dataset.resample(Waveform(x.astype(np.float32), 8000)).samples.astype(np.float64)
