@@ -2,19 +2,21 @@
 
 A location votes Present when the Present share of its segments exceeds the
 threshold (40% by default). With selective classification, locations whose
-confident-segment ratio falls below 0.6 instead vote over all segments at
-the lowered 20% threshold. A patient is Present when any location is.
+confident-segment ratio falls below 0.6, or that have no confident segment
+at all, instead vote over all segments at the lowered 20% threshold. A
+patient is Present when any location is.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import Location, MurmurLabel
 from .errors import CalibrationWarning, ConfigError, DomainError, EmptyLocationError, EmptyPatientError
+from .metrics import binary_metrics
 from .uq import ConfidencePolicy, McdResult, select_confident
 
 VOTE_THR_DEFAULT = 0.40
@@ -91,31 +93,20 @@ def vote_location_selective(
 ) -> LocationDecision:
     """Uncertainty-aware location vote.
 
-    When the confident-segment ratio is at least the policy threshold, only
-    confident segments vote at thr_hi. Otherwise every segment votes at the
-    lowered thr_lo, so a location is never silently dropped.
+    When the confident-segment ratio is at least the policy threshold and
+    some segment is confident, only confident segments vote at thr_hi.
+    Otherwise every segment votes at the lowered thr_lo, so a location is
+    never silently dropped.
     """
     if not results:
         raise EmptyLocationError("cannot vote over zero segments")
     kept_idx, ratio = select_confident(results, policy)
     labels = np.asarray([r.deterministic_pred for r in results], dtype=np.int64)
-    if ratio >= policy.confident_ratio_threshold:
-        voting = labels[kept_idx]
-        thr = thr_hi
+    if kept_idx and ratio >= policy.confident_ratio_threshold:
+        voting, thr = labels[kept_idx], thr_hi
     else:
-        voting = labels
-        thr = thr_lo
-    n_present = int(voting.sum())
-    present = _decide(n_present, voting.size, thr, rule)
-    return LocationDecision(
-        location=location,
-        n_segments=int(voting.size),
-        n_present=n_present,
-        present_fraction=n_present / voting.size,
-        threshold_used=thr,
-        label=MurmurLabel.PRESENT if present else MurmurLabel.ABSENT,
-        confident_ratio=ratio,
-    )
+        voting, thr = labels, thr_lo
+    return replace(vote_location(voting, thr, location=location, rule=rule), confident_ratio=ratio)
 
 
 def predict_patient(
@@ -130,10 +121,6 @@ def predict_patient(
         locations=tuple(decisions),
         label=MurmurLabel.PRESENT if present else MurmurLabel.ABSENT,
     )
-
-
-def default_threshold_grid() -> np.ndarray:
-    return np.round(np.arange(0.05, 1.0, 0.05), 2)
 
 
 def calibrate_threshold(
@@ -155,9 +142,7 @@ def calibrate_threshold(
     if fractions.size == 0:
         raise ConfigError("calibration requires at least one location")
     _check_binary(truths)
-    if grid is None:
-        grid = default_threshold_grid()
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(np.round(np.arange(0.05, 1.0, 0.05), 2) if grid is None else grid, dtype=np.float64)
     if np.any((grid <= 0) | (grid >= 1)):
         raise ConfigError("thresholds must lie in (0, 1)")
     if truths.sum() == 0:
@@ -169,13 +154,7 @@ def calibrate_threshold(
     best_thr = float(grid[0])
     best_f1 = -1.0
     for thr in sorted(float(t) for t in grid):
-        pred = (fractions > thr).astype(np.int64)
-        tp = int(np.sum((pred == 1) & (truths == 1)))
-        fp = int(np.sum((pred == 1) & (truths == 0)))
-        fn = int(np.sum((pred == 0) & (truths == 1)))
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        f1 = binary_metrics((fractions > thr).astype(np.int64), truths).f1
         if f1 > best_f1:
             best_f1 = f1
             best_thr = thr

@@ -12,35 +12,30 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import pipeline, resources, uq
+from . import aggregate, pipeline, resources, uq
 from .dataset import Split
 from .errors import ConfigError, MurmurKitError
 from .nn import Variant, load_network, variant_specs
 from .pipeline import PipelineConfig
 
 
+_FLAG_NAMES = {"vote_thr": "--thr", "fallback_thr": "--thr-fallback"}
+_CHOICES = {
+    "variant": [v.value for v in Variant],
+    "entropy_mode": uq.ENTROPY_MODES,
+    "vote_rule": aggregate.VOTE_RULES,
+}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per PipelineConfig field; unset flags stay None."""
     p.add_argument("--config", type=Path, help="JSON config file (flags override it)")
-    p.add_argument("--n-fft", type=int, dest="n_fft")
-    p.add_argument("--psd-thr", type=float, dest="psd_thr")
-    p.add_argument("--window-s", type=float, dest="window_s")
-    p.add_argument("--hop-s", type=float, dest="hop_s")
-    p.add_argument("--oversample-divisor", type=int, dest="oversample_divisor")
-    p.add_argument("--thr", type=float, dest="vote_thr")
-    p.add_argument("--thr-fallback", type=float, dest="fallback_thr")
-    p.add_argument("--cs-threshold", type=float, dest="cs_threshold")
-    p.add_argument("--confident-ratio", type=float, dest="confident_ratio")
-    p.add_argument("--mcd-passes", type=int, dest="mcd_passes")
-    p.add_argument("--alpha", type=float, dest="alpha")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--variant", choices=[v.value for v in Variant], dest="variant")
-    p.add_argument("--epochs", type=int, dest="epochs")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float, dest="lr")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--min-keep", type=int, dest="min_keep")
-    p.add_argument("--entropy-mode", choices=uq.ENTROPY_MODES, dest="entropy_mode")
-    p.add_argument("--vote-rule", choices=["share", "quotient"], dest="vote_rule")
+    for f in dataclasses.fields(PipelineConfig):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        if f.name in _CHOICES:
+            p.add_argument(flag, choices=_CHOICES[f.name], dest=f.name)
+        else:
+            p.add_argument(flag, type=type(f.default), dest=f.name)
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -237,9 +232,6 @@ def run(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MurmurKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,7 +175,6 @@ class Waveform:
 
     samples: np.ndarray
     sample_rate_hz: int
-    patient_id: str = ""
     location: Location = Location.OTHER
 
     def __post_init__(self) -> None:
@@ -194,9 +193,7 @@ class Waveform:
 _PCM_FORMAT = 1
 
 
-def load_recording(
-    path: str | Path, *, patient_id: str = "", location: Location = Location.OTHER
-) -> Waveform:
+def load_recording(path: str | Path, *, location: Location = Location.OTHER) -> Waveform:
     """Load a mono 16-bit PCM WAV file, scaling samples to [-1, 1)."""
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -229,7 +226,7 @@ def load_recording(
         raise UnsupportedFormatError(f"{path}: expected 16-bit samples, got {bits}")
     raw = np.frombuffer(pcm[: len(pcm) - (len(pcm) % 2)], dtype="<i2")
     samples = raw.astype(np.float32) / 32768.0
-    return Waveform(samples, int(rate), patient_id=patient_id, location=location)
+    return Waveform(samples, int(rate), location=location)
 
 
 def write_recording(path: str | Path, waveform: Waveform) -> None:

@@ -123,11 +123,7 @@ class PipelineConfig:
         )
 
     def policy(self) -> uq.ConfidencePolicy:
-        return uq.ConfidencePolicy(
-            cs_threshold=self.cs_threshold,
-            alpha=self.alpha,
-            confident_ratio_threshold=self.confident_ratio,
-        )
+        return uq.ConfidencePolicy(cs_threshold=self.cs_threshold, confident_ratio_threshold=self.confident_ratio)
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -267,18 +263,12 @@ class PatientFeatures:
     label: MurmurLabel
     locations: list[LocationFeatures]
 
-    def all_inputs(self) -> np.ndarray:
-        stacks = [lf.inputs for lf in self.locations if len(lf.inputs)]
-        if not stacks:
-            return np.zeros((0, 1, 1, 1), dtype=np.float32)
-        return np.concatenate(stacks, axis=0)
-
 
 def load_waveform(base_dir: Path, record: PatientRecord, ref: RecordingRef) -> Waveform:
     path = Path(ref.path)
     if not path.is_absolute():
         path = base_dir / path
-    wf = load_recording(path, patient_id=record.patient_id, location=ref.location)
+    wf = load_recording(path, location=ref.location)
     return resample(wf, PIPELINE_RATE_HZ)
 
 
@@ -368,9 +358,14 @@ def _training_stacks(
     return {pid: stack for pid, stack in stacks if stack[0] is not None}
 
 
-def _concat_stacks(stacks: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray]:
+_NO_TRAIN_AUDIO = "no usable recordings in split Train"
+
+
+def _concat_stacks(stacks: list[tuple[np.ndarray, int]], empty: str) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (X, y) of (inputs, label) stacks; ``empty`` is the error when
+    there are none."""
     if not stacks:
-        raise EmptyDatasetError("no usable recordings in split Train")
+        raise EmptyDatasetError(empty)
     x = np.concatenate([x for x, _ in stacks], axis=0)
     y = np.concatenate([np.full(len(x), label, dtype=np.int64) for x, label in stacks])
     return x, y
@@ -381,23 +376,19 @@ def training_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat (X, y) training arrays of the Known Train patients, with
     Present-class oversampling (see ``_training_stacks``)."""
-    return _concat_stacks(list(_training_stacks(manifest, base_dir, cfg).values()))
+    return _concat_stacks(list(_training_stacks(manifest, base_dir, cfg).values()), _NO_TRAIN_AUDIO)
 
 
 def flatten_segments(feats: list[PatientFeatures]) -> tuple[np.ndarray, np.ndarray]:
     """Stack all segments of Known patients with patient-level labels."""
-    xs, ys = [], []
-    for pf in feats:
-        if pf.label is MurmurLabel.UNKNOWN:
-            continue
-        x = pf.all_inputs()
-        if len(x) == 0:
-            continue
-        xs.append(x)
-        ys.append(np.full(len(x), 1 if pf.label is MurmurLabel.PRESENT else 0, dtype=np.int64))
-    if not xs:
-        raise EmptyDatasetError("no segments to evaluate")
-    return np.concatenate(xs, axis=0), np.concatenate(ys)
+    stacks = [
+        (lf.inputs, int(pf.label is MurmurLabel.PRESENT))
+        for pf in feats
+        if pf.label is not MurmurLabel.UNKNOWN
+        for lf in pf.locations
+        if len(lf.inputs)
+    ]
+    return _concat_stacks(stacks, "no segments to evaluate")
 
 
 # --- inference ----------------------------------------------------------------
@@ -577,11 +568,14 @@ def cv_run(
     n_fft_grid: list[int] | None = None,
     psd_thr_grid: list[float] | None = None,
 ) -> str:
-    """Patient-level k-fold CV over an (n_fft, psd_thr) grid.
+    """Patient-level k-fold CV of the Known Train patients over an
+    (n_fft, psd_thr) grid.
 
-    Reports segment-level accuracy and F1 per fold plus mean and std rows,
-    one grid point at a time. The default grid is the single configured
-    point; pass explicit grids to sweep.
+    Each fold trains on the other folds, picks its best epoch on the
+    Validation split's Known patients, as ``train_run`` does, and reports
+    segment-level accuracy and F1 on the held-out fold, plus mean and std
+    rows, one grid point at a time. The default grid is the single
+    configured point; pass explicit grids to sweep.
     """
     pids = [
         r.patient_id
@@ -601,13 +595,18 @@ def cv_run(
             all_feats = eval_features(
                 manifest, base_dir, Split.TRAIN, point, include_unknown=False
             )
+            val_x, val_y = flatten_segments(
+                eval_features(manifest, base_dir, Split.VALIDATION, point, include_unknown=False)
+            )
             accs, f1s = [], []
             for fold, held in enumerate(map(set, folds)):
-                train_x, train_y = _concat_stacks([v for pid, v in stacks.items() if pid not in held])
-                val_x, val_y = flatten_segments([pf for pf in all_feats if pf.patient_id in held])
+                train_x, train_y = _concat_stacks(
+                    [v for pid, v in stacks.items() if pid not in held], _NO_TRAIN_AUDIO
+                )
+                held_x, held_y = flatten_segments([pf for pf in all_feats if pf.patient_id in held])
                 net = build_model(point.variant, seed=stage_seed(point.seed, "init"))
                 fit(net, train_x, train_y, val_x, val_y, point.train_config())
-                m = metrics.binary_metrics(predict_labels(net, val_x), val_y)
+                m = metrics.binary_metrics(predict_labels(net, held_x), held_y)
                 accs.append(m.accuracy)
                 f1s.append(m.f1)
                 lines.append(f"{n_fft}\t{psd_thr}\t{fold}\t{m.accuracy:.4f}\t{m.f1:.4f}")
@@ -678,7 +677,6 @@ def uq_report(
 
     lines = cfg.header_lines("uq-report")
     lines.append("patient_id\tlocation\tsegment_start_s\tp_present\tE\tC\tCS\tkept")
-    truth_of = {pf.patient_id: pf.label for pf in feats}
     cc_scores, mc_scores = [], []
     for row in result.uq_rows:
         lines.append(
@@ -686,7 +684,7 @@ def uq_report(
             f"\t{row.p_present:.6f}\t{row.entropy:.6f}\t{row.coherence:.6f}"
             f"\t{row.confidence:.6f}\t{int(row.kept)}"
         )
-        label = truth_of[row.patient_id]
+        label = result.truths[row.patient_id]
         if label is MurmurLabel.UNKNOWN:
             continue
         seg_pred = 1 if row.p_present >= 0.5 else 0

@@ -42,11 +42,10 @@ class McdResult:
 @dataclass(frozen=True)
 class ConfidencePolicy:
     cs_threshold: float = 0.8
-    alpha: float = 0.5
     confident_ratio_threshold: float = 0.6
 
     def __post_init__(self) -> None:
-        for name in ("cs_threshold", "alpha", "confident_ratio_threshold"):
+        for name in ("cs_threshold", "confident_ratio_threshold"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")

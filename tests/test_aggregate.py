@@ -99,6 +99,16 @@ class TestVoteLocationSelective:
         assert d.confident_ratio == 0.0
         assert d.label is MurmurLabel.ABSENT  # 0.1 <= 0.2
 
+    def test_zero_ratio_threshold_falls_back_without_confident_segments(self):
+        # A ratio threshold of 0 admits ratio 0, but an empty confident set
+        # cannot vote: all segments vote at the fallback threshold instead.
+        results = [_mcd(1, 0.1), _mcd(0, 0.2), _mcd(0, 0.3)]
+        d = vote_location_selective(results, ConfidencePolicy(confident_ratio_threshold=0.0))
+        assert d.threshold_used == 0.20
+        assert d.confident_ratio == 0.0
+        assert (d.n_segments, d.n_present) == (3, 1)
+        assert d.label is MurmurLabel.PRESENT  # 1/3 > 0.2
+
     def test_policy_threshold_zero_equals_plain_vote(self):
         rng = np.random.default_rng(0)
         policy = ConfidencePolicy(cs_threshold=0.0)

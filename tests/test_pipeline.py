@@ -291,6 +291,28 @@ class TestTrainAndInfer:
         assert any("\tmean\t" in l for l in lines)
         assert any("\tstd\t" in l for l in lines)
 
+    def test_cv_checkpoints_on_the_validation_split(self, corpus, monkeypatch):
+        # Every fold picks its epoch on the Validation split's Known
+        # patients, never on the held-out fold it is scored on.
+        manifest, base = corpus
+        cfg = PipelineConfig(seed=11, epochs=1)
+        seen = []
+        fit = pipeline.fit
+
+        def spy(net, train_x, train_y, val_x, val_y, config):
+            seen.append((val_x.tobytes(), val_y.tobytes()))
+            return fit(net, train_x, train_y, val_x, val_y, config)
+
+        monkeypatch.setattr(pipeline, "fit", spy)
+        pipeline.cv_run(manifest, base, cfg, k=2, n_fft_grid=[64, 128])
+        want = []
+        for n_fft in (64, 128):
+            point = dataclasses.replace(cfg, n_fft=n_fft)
+            feats = pipeline.eval_features(manifest, base, Split.VALIDATION, point, include_unknown=False)
+            val_x, val_y = pipeline.flatten_segments(feats)
+            want += [(val_x.tobytes(), val_y.tobytes())] * 2
+        assert seen == want
+
 
 class TestUqReport:
     def test_report_sections(self, trained):
