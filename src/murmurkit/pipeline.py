@@ -264,7 +264,7 @@ class PatientFeatures:
     locations: list[LocationFeatures]
 
 
-def load_waveform(base_dir: Path, record: PatientRecord, ref: RecordingRef) -> Waveform:
+def load_waveform(base_dir: Path, ref: RecordingRef) -> Waveform:
     path = Path(ref.path)
     if not path.is_absolute():
         path = base_dir / path
@@ -297,7 +297,7 @@ def _record_features(
 ) -> list[LocationFeatures]:
     """Each recording of a patient loaded, resampled and gated at ``hop_s``,
     in manifest order; recordings too short to segment are left out."""
-    feats = [recording_features(load_waveform(base_dir, record, ref), cfg, hop_s) for ref in record.recordings]
+    feats = [recording_features(load_waveform(base_dir, ref), cfg, hop_s) for ref in record.recordings]
     return [lf for lf in feats if lf is not None]
 
 

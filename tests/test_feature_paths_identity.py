@@ -30,7 +30,7 @@ def oracle_eval_features(manifest, base, split, cfg, include_unknown=True):
             continue
         per_loc = {}
         for ref in record.recordings:
-            lf = pipeline.recording_features(pipeline.load_waveform(base, record, ref), cfg)
+            lf = pipeline.recording_features(pipeline.load_waveform(base, ref), cfg)
             if lf is not None:
                 per_loc.setdefault(ref.location, []).append(lf)
         merged = []
@@ -59,7 +59,7 @@ def oracle_training_features(manifest, base, cfg, include=None):
         label = 1 if record.murmur_label is MurmurLabel.PRESENT else 0
         hop = cfg.hop_s / cfg.oversample_divisor if label == 1 else cfg.hop_s
         for ref in record.recordings:
-            wf = pipeline.load_waveform(base, record, ref)
+            wf = pipeline.load_waveform(base, ref)
             lf = pipeline.recording_features(wf, cfg, hop_s=hop)
             if lf is not None and len(lf.inputs):
                 xs.append(lf.inputs)
