@@ -63,6 +63,16 @@ class TestParseManifest:
         with pytest.raises(ParseError, match="line 2"):
             parse_manifest("p1\tTrain\tAbsent\tAV:a.wav\nbroken row\n")
 
+    def test_recording_ref_without_path_rejected(self):
+        for ref in ("AV", "AV:", "AV:a.wav,MV"):
+            with pytest.raises(ParseError, match="malformed recording ref"):
+                parse_manifest(f"p1\tTrain\tAbsent\t{ref}\n")
+
+    def test_location_listed_three_times_rejected(self):
+        refs = "AV:a.wav,AV:b.wav,AV:c.wav"
+        with pytest.raises(ParseError, match="line 1: .*more than twice"):
+            parse_manifest(f"p1\tTrain\tAbsent\t{refs}\n")
+
     def test_multiple_recordings_and_comments(self):
         text = "# corpus\np2\tValidation\tPresent\tAV:a.wav,MV:b.wav\n"
         m = parse_manifest(text)
@@ -156,6 +166,28 @@ class TestWavIO:
         path.write_bytes(hdr)
         with pytest.raises(ParseError):
             load_recording(path)
+
+    def test_truncated_fmt_chunk(self, tmp_path):
+        import struct
+
+        hdr = b"RIFF" + struct.pack("<I", 4 + 8 + 12 + 8 + 4) + b"WAVE"
+        hdr += b"fmt " + struct.pack("<IHHII", 12, 1, 1, 4000, 8000)
+        hdr += b"data" + struct.pack("<I", 4) + bytes(4)
+        path = tmp_path / "short_fmt.wav"
+        path.write_bytes(hdr)
+        with pytest.raises(ParseError, match="truncated fmt chunk"):
+            load_recording(path)
+
+    def test_missing_fmt_or_data_chunk(self, tmp_path):
+        import struct
+
+        fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 4000, 8000, 2, 16)
+        data = b"data" + struct.pack("<I", 4) + bytes(4)
+        for name, chunks in (("no_fmt", data), ("no_data", fmt), ("neither", b"")):
+            path = tmp_path / f"{name}.wav"
+            path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+            with pytest.raises(ParseError, match="missing fmt or data chunk"):
+                load_recording(path)
 
 
 class TestResample:

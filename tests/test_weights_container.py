@@ -191,6 +191,14 @@ def test_transposed_tensor_shape_rejected(dirs, kind, tmp_path):
         LOADERS[kind](_edit(dirs / kind, tmp_path / "d", transpose))
 
 
+def test_float_manifest_with_int8_dtype_rejected(dirs, tmp_path):
+    def int8(lines):
+        return [("dtype\tint8" if l.startswith("dtype\t") else l) for l in lines]
+
+    with pytest.raises(ParseError, match="dtype float32"):
+        load_network(_edit(dirs / "weights", tmp_path / "d", int8))
+
+
 def test_cli_resources_rejects_int8_weights(dirs, capsys):
     assert run(["resources", "--weights", str(dirs / "qweights")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
