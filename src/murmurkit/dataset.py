@@ -183,10 +183,6 @@ class Waveform:
         if not np.all(np.isfinite(self.samples)):
             raise NumericError("waveform contains non-finite samples")
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 # --- WAV I/O (RIFF, PCM, mono, 16-bit, little-endian) ---------------------
 

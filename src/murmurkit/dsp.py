@@ -46,11 +46,9 @@ class Spectrogram:
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Per-spectrogram PSD ratios and the keep decision for one location."""
+    """The keep decision for each spectrogram of one location."""
 
-    ratios: tuple[float, ...]
     kept: tuple[bool, ...]
-    threshold: float
 
     def kept_indices(self) -> list[int]:
         return [i for i, k in enumerate(self.kept) if k]
@@ -156,7 +154,7 @@ def quality_filter(
         kept = [False] * len(specs)
         for i in order[:floor]:
             kept[i] = True
-    return QualityReport(tuple(ratios), tuple(kept), psd_thr)
+    return QualityReport(tuple(kept))
 
 
 def model_input(spec: Spectrogram) -> np.ndarray:

@@ -85,15 +85,10 @@ def _im2col3x3(x: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
     return cols.reshape(n, c * 9, h * w)
 
 
-def _col2im3x3(
-    dcols: np.ndarray, shape: tuple[int, int, int, int], ws: _Workspace | None = None
-) -> np.ndarray:
+def _col2im3x3(dcols: np.ndarray, shape: tuple[int, int, int, int], ws: _Workspace) -> np.ndarray:
     n, c, h, w = shape
-    if ws is None:
-        dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
-    else:
-        dxp = ws.get("dxp", (n, c, h + 2, w + 2), dcols.dtype)
-        dxp[...] = 0
+    dxp = ws.get("dxp", (n, c, h + 2, w + 2), dcols.dtype)
+    dxp[...] = 0
     d = dcols.reshape(n, c, 9, h, w)
     k = 0
     for u in range(3):

@@ -193,8 +193,6 @@ class Network:
         if lo:
             h = np.asarray(x, dtype=self.dtype)
         else:
-            if x.ndim == 3:
-                x = x[None, ...]
             if x.ndim != 4:
                 raise ShapeError(f"expected (N, C, H, W) input, got shape {x.shape}")
             h = np.ascontiguousarray(x, dtype=self.dtype)

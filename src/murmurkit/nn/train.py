@@ -110,11 +110,11 @@ class History:
         return "\n".join(lines) + "\n"
 
 
-def predict_labels(net: Network, x: np.ndarray, batch: int = _EVAL_BATCH) -> np.ndarray:
+def predict_labels(net: Network, x: np.ndarray) -> np.ndarray:
     """Deterministic eval-mode class predictions for a stack of inputs."""
     preds = []
-    for lo in range(0, len(x), batch):
-        probs = net.forward(x[lo : lo + batch], mode="eval")
+    for lo in range(0, len(x), _EVAL_BATCH):
+        probs = net.forward(x[lo : lo + _EVAL_BATCH], mode="eval")
         preds.append(probs.argmax(axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 

@@ -619,6 +619,8 @@ def cv_run(
 
 # --- quantization ----------------------------------------------------------------
 
+_MAX_CALIBRATION = 256
+
 
 @dataclass
 class QuantizeOutcome:
@@ -634,16 +636,16 @@ def quantize_run(
     base_dir: str | Path,
     cfg: PipelineConfig,
     out_dir: str | Path,
-    max_calibration: int = 256,
 ) -> QuantizeOutcome:
-    """Calibrate on validation segments, save int8 weights, check agreement."""
+    """Calibrate on validation segments, save int8 weights, and check the
+    agreement of the twin read back from them with the float network."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     val_feats = eval_features(manifest, base_dir, Split.VALIDATION, cfg, include_unknown=False)
     cal_x, _ = flatten_segments(val_feats)
-    qnet = quant.quantize_network(net, cal_x[:max_calibration])
     qdir = out / "qweights"
-    quant.save_qnetwork(qnet, qdir)
+    quant.save_qnetwork(quant.quantize_network(net, cal_x[:_MAX_CALIBRATION]), qdir)
+    qnet = quant.load_qnetwork(qdir)
 
     test_feats = eval_features(manifest, base_dir, Split.TEST, cfg, include_unknown=False)
     test_x, _ = flatten_segments(test_feats)

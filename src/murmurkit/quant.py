@@ -2,9 +2,13 @@
 
 Weights use symmetric per-tensor int8 (round-half-to-even, scale =
 max|w|/127). Activations use affine int8 with min/max ranges observed on a
-calibration set. Convolutions and linear layers accumulate in int32; pooling
-runs on int8 directly (max) or via an int32 sum (average); softmax stays in
-real arithmetic. Every conv is followed by a ReLU, which is always fused into
+calibration set. Convolutions and linear layers share one integer GEMM: it
+multiplies int8 weights into centered int8 activations through float64 BLAS,
+which is exact and equals int32 accumulation, because every product is an
+integer and ``_check_accumulator_bound`` keeps every partial sum below 2^31,
+far inside float64's exact integer range of 2^53. Pooling runs on int8
+directly (max) or via an int32 sum (average); softmax stays in real
+arithmetic. Every conv is followed by a ReLU, which is always fused into
 it, and the final linear layer gives the logits. Int8 weights use the
 container of ``nn.network``, adding ``input_q``, ``op`` and ``act_q`` rows
 and a scale column on each tensor row.
@@ -61,9 +65,6 @@ class ActQuant:
         q = np.round(x / self.scale) + self.zero_point
         return np.clip(q, -128, 127).astype(np.int8)
 
-    def dequantize(self, q: np.ndarray) -> np.ndarray:
-        return self.scale * (q.astype(np.float64) - self.zero_point)
-
 
 def quantize_tensor(w: np.ndarray) -> QTensor:
     """Symmetric per-tensor int8 quantization with round-half-to-even."""
@@ -104,9 +105,9 @@ def qspecs(variant: Variant) -> list[LayerSpec]:
 class QNetwork:
     """Quantized twin of a Network: same topology, dropout elided."""
 
-    def __init__(self, variant: Variant, specs: list[LayerSpec], input_q: ActQuant, ops: list[_QOp]):
+    def __init__(self, variant: Variant, input_q: ActQuant, ops: list[_QOp]):
         self.variant = variant
-        self.specs = specs  # dropout-free layer list
+        self.specs = qspecs(variant)
         self.input_q = input_q
         self.ops = ops
 
@@ -129,6 +130,20 @@ def _check_accumulator_bound(specs: list[LayerSpec]) -> None:
             )
 
 
+def _build(variant: Variant, tensors: dict[str, QTensor], act: dict[str, ActQuant]) -> QNetwork:
+    """The twin of ``variant`` from its ``op<i>.w``/``op<i>.b`` tensors and
+    its activation parameters, keyed ``input_q`` or by conv op index."""
+    ops = []
+    for i, kind in enumerate(s.kind for s in qspecs(variant) if s.kind is not LayerKind.RELU):
+        op = _QOp(kind)
+        if kind in (LayerKind.CONV3X3, LayerKind.LINEAR):
+            op.w, op.b_q = tensors.get(f"op{i}.w"), tensors.get(f"op{i}.b")
+        if kind is LayerKind.CONV3X3:
+            op.out_q = act.get(str(i))
+        ops.append(op)
+    return QNetwork(variant, act["input_q"], ops)
+
+
 def quantize_network(net: Network, calibration: np.ndarray) -> QNetwork:
     """Quantize weights and calibrate activation ranges from sample inputs.
 
@@ -137,55 +152,42 @@ def quantize_network(net: Network, calibration: np.ndarray) -> QNetwork:
     output range is recorded after its fused ReLU.
     """
     calibration = np.asarray(calibration, dtype=np.float32)
-    if calibration.ndim == 3:
-        calibration = calibration[None, ...]
-    if calibration.size == 0 or len(calibration) == 0:
+    if calibration.size == 0:
         raise CalibrationError("calibration set is empty")
     if net.specs != variant_specs(net.variant):
         raise ConfigError(f"only the {net.variant.value} variant stack can be quantized")
-
-    specs = qspecs(net.variant)
-    _check_accumulator_bound(specs)
-    input_q = _act_quant_from_range(float(calibration.min()), float(calibration.max()))
+    _check_accumulator_bound(qspecs(net.variant))
 
     # Walk the float layers, tracking the activation after every op we keep.
-    ops: list[_QOp] = []
-    h = calibration.astype(np.float32)
-    for spec, layer in zip(net.specs, net.layers):
-        if spec.kind in (LayerKind.DROPOUT, LayerKind.RELU):
-            continue
-        op = _QOp(spec.kind)
+    tensors: dict[str, QTensor] = {}
+    act = {"input_q": _act_quant_from_range(float(calibration.min()), float(calibration.max()))}
+    skipped = (LayerKind.DROPOUT, LayerKind.RELU)
+    kept = [(s, l) for s, l in zip(net.specs, net.layers) if s.kind not in skipped]
+    h = calibration
+    for i, (spec, layer) in enumerate(kept):
         if spec.kind in (LayerKind.CONV3X3, LayerKind.LINEAR):
-            op.w, op.b_q = quantize_tensor(layer.w.value), quantize_tensor(layer.b.value)
+            tensors[f"op{i}.w"] = quantize_tensor(layer.w.value)
+            tensors[f"op{i}.b"] = quantize_tensor(layer.b.value)
         if spec.kind is LayerKind.CONV3X3:
             h = np.maximum(layer.forward(h, train=False), 0)
-            op.out_q = _act_quant_from_range(float(h.min()), float(h.max()))
+            act[str(i)] = _act_quant_from_range(float(h.min()), float(h.max()))
         elif spec.kind in (LayerKind.MAXPOOL2X2, LayerKind.GLOBAL_AVG_POOL):
             h = layer.forward(h, train=False)
-        ops.append(op)
-    return QNetwork(net.variant, specs, input_q, ops)
+    return _build(net.variant, tensors, act)
 
 
-def _qconv_int(xq: np.ndarray, in_q: ActQuant, op: _QOp) -> np.ndarray:
-    """Integer conv: returns real-valued output before requantization."""
-    centered = xq.astype(np.int32) - in_q.zero_point  # real zero maps to 0
-    cols = _im2col3x3(centered)
-    out_ch = op.w.values.shape[0]
-    wm = op.w.values.reshape(out_ch, -1).astype(np.int32)
-    acc = np.matmul(wm, cols)  # int32 accumulation
-    n = acc.shape[0]
-    h, w = xq.shape[2], xq.shape[3]
-    real = acc.astype(np.float64) * (op.w.scale * in_q.scale)
+def _qgemm(op: _QOp, in_q: ActQuant, cols: np.ndarray) -> np.ndarray:
+    """Integer GEMM of a conv or linear op: (out, K) int8 weights times each
+    sample's centered integer columns (N, K, P); returns the real-valued
+    (N, out, P) output before requantization. Accumulation runs through
+    float64 BLAS one sample at a time and is exact (module docstring)."""
+    wm = op.w.values.reshape(len(op.w.values), -1).astype(np.float64)
+    real = np.empty((len(cols), len(wm), cols.shape[2]))
+    for sample, out in zip(cols, real):
+        np.matmul(wm, sample.astype(np.float64), out=out)
+    real *= op.w.scale * in_q.scale
     real += op.b_q.dequantize().astype(np.float64)[None, :, None]
-    return real.reshape(n, out_ch, h, w)
-
-
-def _qlinear_int(xq: np.ndarray, in_q: ActQuant, op: _QOp) -> np.ndarray:
-    flat = xq.reshape(xq.shape[0], -1).astype(np.int32) - in_q.zero_point
-    wm = op.w.values.astype(np.int32)
-    acc = flat @ wm.T
-    real = acc.astype(np.float64) * (op.w.scale * in_q.scale)
-    return real + op.b_q.dequantize().astype(np.float64)[None, :]
+    return real
 
 
 def qforward(qnet: QNetwork, x: np.ndarray) -> np.ndarray:
@@ -203,7 +205,11 @@ def qforward(qnet: QNetwork, x: np.ndarray) -> np.ndarray:
     q = cur_q.quantize(x)
     for op in qnet.ops:
         if op.kind is LayerKind.CONV3X3:
-            real = np.maximum(_qconv_int(q, cur_q, op), 0)  # fused ReLU
+            n, _, h, w = q.shape
+            cols = _im2col3x3(q.astype(np.int32) - cur_q.zero_point)  # real zero maps to 0
+            real = _qgemm(op, cur_q, cols).reshape(n, -1, h, w)
+            del cols
+            np.maximum(real, 0, out=real)  # fused ReLU
             cur_q = op.out_q
             q = cur_q.quantize(real)
         elif op.kind is LayerKind.MAXPOOL2X2:
@@ -213,7 +219,8 @@ def qforward(qnet: QNetwork, x: np.ndarray) -> np.ndarray:
             total = q.astype(np.int32).sum(axis=(2, 3), keepdims=True)
             q = np.clip(np.round(total / (h * w)), -128, 127).astype(np.int8)
         elif op.kind is LayerKind.LINEAR:
-            probs = softmax(_qlinear_int(q, cur_q, op))
+            flat = q.reshape(len(q), -1, 1).astype(np.int32) - cur_q.zero_point
+            probs = softmax(_qgemm(op, cur_q, flat).reshape(len(q), -1))
     return probs[0] if single else probs
 
 
@@ -245,8 +252,7 @@ def load_qnetwork(weights_dir: str | Path) -> QNetwork:
     write for the network read back, with the tensor shapes of the float
     network of the same variant."""
     variant, rows = read_weights(weights_dir, _QWEIGHTS_FORMAT, "i1")
-    specs = qspecs(variant)
-    tensors, act = {}, {}  # act: "input_q" or an op index -> ActQuant
+    tensors, act = {}, {}
     with malformed_rows(weights_dir):
         for row in rows:
             if isinstance(row, tuple):
@@ -255,15 +261,7 @@ def load_qnetwork(weights_dir: str | Path) -> QNetwork:
             elif row.startswith(("input_q\t", "act_q\t")):
                 *key, scale, zero_point = row.split("\t")
                 act[key[-1]] = ActQuant(float(scale), int(zero_point))
-        ops = []
-        for i, kind in enumerate(s.kind for s in specs if s.kind is not LayerKind.RELU):
-            op = _QOp(kind)
-            if kind in (LayerKind.CONV3X3, LayerKind.LINEAR):
-                op.w, op.b_q = tensors.get(f"op{i}.w"), tensors.get(f"op{i}.b")
-            if kind is LayerKind.CONV3X3:
-                op.out_q = act.get(str(i))
-            ops.append(op)
-        qnet = QNetwork(variant, specs, act["input_q"], ops)
+        qnet = _build(variant, tensors, act)
     check_rows(weights_dir, rows, _rows(qnet))
     shapes = [row[1].shape for row in rows if isinstance(row, tuple)]
     if shapes != [p.value.shape for p in build_model(variant, seed=0).parameters()]:

@@ -282,6 +282,30 @@ class TestTrainAndInfer:
         assert 0.0 <= q.agreement <= 1.0
         assert (q.qweights_dir / "manifest").exists()
 
+    def test_quantize_run_scores_the_twin_it_reads_back(self, trained, tmp_path, monkeypatch):
+        from murmurkit import quant
+        from murmurkit.nn import load_network
+
+        manifest, base, cfg, outcome = trained
+        loaded, scored = [], []
+        load_qnetwork, qforward = quant.load_qnetwork, quant.qforward
+
+        def recording_load(weights_dir):
+            loaded.append((weights_dir, load_qnetwork(weights_dir)))
+            return loaded[-1][1]
+
+        def recording_forward(qnet, x):
+            scored.append(qnet)
+            return qforward(qnet, x)
+
+        monkeypatch.setattr(quant, "load_qnetwork", recording_load)
+        monkeypatch.setattr(quant, "qforward", recording_forward)
+        net = load_network(outcome.weights_dir)
+        q = pipeline.quantize_run(net, manifest, base, cfg, tmp_path / "q")
+        assert [d for d, _ in loaded] == [q.qweights_dir]
+        assert len(scored) == 1 and scored[0] is loaded[0][1]
+        assert q.int8_payload_bytes == loaded[0][1].weight_payload_bytes()
+
     def test_cv_smoke(self, corpus):
         manifest, base = corpus
         cfg = PipelineConfig(seed=11, epochs=1)

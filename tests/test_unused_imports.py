@@ -104,3 +104,74 @@ def test_private_name_detector_flags_only_unread_names():
 def test_src_has_no_unread_private_names():
     sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in SOURCES}
     assert unread_private_names(sources) == []
+
+
+# --- class members -------------------------------------------------------------
+
+ROOT = SRC.parent
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _class_members(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(class, member)`` for each method, property and annotated field,
+    dunders aside, of every class in ``tree``."""
+    members = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members.append((cls.name, node.name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                members.append((cls.name, node.target.id))
+    return [(c, n) for c, n in members if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _member_reads(tree: ast.AST) -> set[str]:
+    """Attributes read (augmented assignment reads too) and string constants."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            names.add(node.target.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unread_members(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """``module:Class.member`` for each member of a class in ``defining``
+    whose name no source in ``reading`` reads as an attribute or names in a
+    string constant."""
+    read = set().union(*(_member_reads(ast.parse(source)) for source in reading))
+    return [
+        f"{m}:{c}.{n}"
+        for m, source in defining.items()
+        for c, n in _class_members(ast.parse(source))
+        if n not in read
+    ]
+
+
+def test_member_detector_flags_only_unread_members():
+    defining = {
+        "a.py": "from dataclasses import dataclass\n"
+        "@dataclass\nclass Box:\n    size: int\n    label: str\n    count: int = 0\n"
+        "    def __post_init__(self):\n        self.count += 1\n"
+        "    def grow(self):\n        return self.size\n"
+        "    @property\n    def area(self):\n        return 0\n"
+        "    def _hook(self):\n        pass\n"
+        "    class Inner:\n        def spare(self):\n            pass\n"
+    }
+    reading = [defining["a.py"], "b = Box(1, 'x')\nb.grow()\ngetattr(b, '_hook')()\n"]
+    assert unread_members(defining, reading) == [
+        "a.py:Box.label",
+        "a.py:Box.area",
+        "a.py:Inner.spare",
+    ]
+
+
+def test_src_classes_have_no_unread_members():
+    defining = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in SOURCES}
+    reading = [p.read_text(encoding="utf-8") for p in READERS]
+    assert unread_members(defining, reading) == []
