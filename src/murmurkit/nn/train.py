@@ -12,6 +12,8 @@ from . import layers as L
 from .network import Network
 
 _EVAL_BATCH = 256
+_BETAS = (0.9, 0.999)
+_EPS = 1e-8
 
 
 @dataclass
@@ -20,8 +22,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 32
     weight_decay: float = 0.01
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -39,8 +39,6 @@ def adamw_step(
     state: dict,
     *,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
     weight_decay: float = 0.01,
 ) -> None:
     """One decoupled-weight-decay Adam update, in place.
@@ -48,7 +46,7 @@ def adamw_step(
     ``state`` holds "m", "v" (zeros before the first step) and "t". The decay
     term is applied directly to the parameter, not through the gradient.
     """
-    b1, b2 = betas
+    b1, b2 = _BETAS
     if not state:
         state["m"] = np.zeros_like(param)
         state["v"] = np.zeros_like(param)
@@ -63,7 +61,7 @@ def adamw_step(
     m_hat = m / (1 - b1**t)
     v_hat = v / (1 - b2**t)
     # both the Adam term and the decay term read the pre-update parameter
-    update = lr * (m_hat / (np.sqrt(v_hat) + eps))
+    update = lr * (m_hat / (np.sqrt(v_hat) + _EPS))
     if weight_decay:
         update += lr * weight_decay * param
     param -= update
@@ -77,15 +75,7 @@ class AdamW:
 
     def step(self) -> None:
         for p, st in zip(self.params, self.state):
-            adamw_step(
-                p.value,
-                p.grad,
-                st,
-                lr=self.config.lr,
-                betas=self.config.betas,
-                eps=self.config.eps,
-                weight_decay=self.config.weight_decay,
-            )
+            adamw_step(p.value, p.grad, st, lr=self.config.lr, weight_decay=self.config.weight_decay)
 
 
 @dataclass
@@ -148,16 +138,15 @@ def fit(
         notes={
             "optimizer": "adamw",
             "lr": config.lr,
-            "betas": config.betas,
-            "eps": config.eps,
+            "betas": _BETAS,
+            "eps": _EPS,
             "weight_decay": config.weight_decay,
             "batch_size": config.batch_size,
             "init": "he_uniform, zero bias",
             "defaults_not_specified_upstream": "batch_size, betas, eps, weight_decay, init",
         }
     )
-    best_f1 = -1.0
-    best_weights = net.get_weights()
+    best_f1 = -1.0  # below every F1, so epoch 1 always sets best_weights
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(train_x))
         total_loss = 0.0

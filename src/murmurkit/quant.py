@@ -9,9 +9,11 @@ integer and ``_check_accumulator_bound`` keeps every partial sum below 2^31,
 far inside float64's exact integer range of 2^53. Pooling runs on int8
 directly (max) or via an int32 sum (average); softmax stays in real
 arithmetic. Every conv is followed by a ReLU, which is always fused into
-it, and the final linear layer gives the logits. Int8 weights use the
-container of ``nn.network``, adding ``input_q``, ``op`` and ``act_q`` rows
-and a scale column on each tensor row.
+it, and the final linear layer gives the logits. Like a microcontroller,
+the twin runs one input at a time, both in ``qforward`` and when
+calibrating, so its memory does not depend on how many inputs it is given.
+Int8 weights use the container of ``nn.network``, adding ``input_q``,
+``op`` and ``act_q`` rows and a scale column on each tensor row.
 """
 
 from __future__ import annotations
@@ -158,70 +160,75 @@ def quantize_network(net: Network, calibration: np.ndarray) -> QNetwork:
         raise ConfigError(f"only the {net.variant.value} variant stack can be quantized")
     _check_accumulator_bound(qspecs(net.variant))
 
-    # Walk the float layers, tracking the activation after every op we keep.
-    tensors: dict[str, QTensor] = {}
-    act = {"input_q": _act_quant_from_range(float(calibration.min()), float(calibration.max()))}
     skipped = (LayerKind.DROPOUT, LayerKind.RELU)
     kept = [(s, l) for s, l in zip(net.specs, net.layers) if s.kind not in skipped]
-    h = calibration
+    tensors: dict[str, QTensor] = {}
     for i, (spec, layer) in enumerate(kept):
         if spec.kind in (LayerKind.CONV3X3, LayerKind.LINEAR):
             tensors[f"op{i}.w"] = quantize_tensor(layer.w.value)
             tensors[f"op{i}.b"] = quantize_tensor(layer.b.value)
-        if spec.kind is LayerKind.CONV3X3:
-            h = np.maximum(layer.forward(h, train=False), 0)
-            act[str(i)] = _act_quant_from_range(float(h.min()), float(h.max()))
-        elif spec.kind in (LayerKind.MAXPOOL2X2, LayerKind.GLOBAL_AVG_POOL):
-            h = layer.forward(h, train=False)
+
+    # Walk the float layers one input at a time, keeping each conv's running
+    # output range; min and max do not depend on the order of the inputs.
+    ranges: dict[int, tuple] = {}
+    for x in calibration:
+        h = x[None]
+        for i, (spec, layer) in enumerate(kept):
+            if spec.kind is LayerKind.CONV3X3:
+                h = np.maximum(layer.forward(h, train=False), 0)
+                lo, hi = ranges.get(i, (np.inf, -np.inf))
+                ranges[i] = (np.minimum(lo, h.min()), np.maximum(hi, h.max()))
+            elif spec.kind in (LayerKind.MAXPOOL2X2, LayerKind.GLOBAL_AVG_POOL):
+                h = layer.forward(h, train=False)
+    act = {str(i): _act_quant_from_range(float(lo), float(hi)) for i, (lo, hi) in ranges.items()}
+    act["input_q"] = _act_quant_from_range(float(calibration.min()), float(calibration.max()))
     return _build(net.variant, tensors, act)
 
 
 def _qgemm(op: _QOp, in_q: ActQuant, cols: np.ndarray) -> np.ndarray:
-    """Integer GEMM of a conv or linear op: (out, K) int8 weights times each
-    sample's centered integer columns (N, K, P); returns the real-valued
-    (N, out, P) output before requantization. Accumulation runs through
-    float64 BLAS one sample at a time and is exact (module docstring)."""
+    """Integer GEMM of a conv or linear op: (out, K) int8 weights times one
+    input's centered integer columns (K, P); returns the real-valued (out, P)
+    output before requantization. Accumulation runs through float64 BLAS
+    and is exact (module docstring)."""
     wm = op.w.values.reshape(len(op.w.values), -1).astype(np.float64)
-    real = np.empty((len(cols), len(wm), cols.shape[2]))
-    for sample, out in zip(cols, real):
-        np.matmul(wm, sample.astype(np.float64), out=out)
+    real = wm @ cols.astype(np.float64)
     real *= op.w.scale * in_q.scale
-    real += op.b_q.dequantize().astype(np.float64)[None, :, None]
+    real += op.b_q.dequantize().astype(np.float64)[:, None]
     return real
+
+
+def _qforward_one(qnet: QNetwork, x: np.ndarray) -> np.ndarray:
+    """Class probabilities of one input of shape (1, F, T)."""
+    cur_q = qnet.input_q
+    q = cur_q.quantize(x)[None]  # a batch of one for the shared im2col and pool kernels
+    for op in qnet.ops:
+        if op.kind is LayerKind.CONV3X3:
+            cols = _im2col3x3(q.astype(np.int32) - cur_q.zero_point)[0]  # real zero maps to 0
+            real = _qgemm(op, cur_q, cols)
+            np.maximum(real, 0, out=real)  # fused ReLU
+            cur_q = op.out_q
+            q = cur_q.quantize(real).reshape(1, -1, *q.shape[2:])
+        elif op.kind is LayerKind.MAXPOOL2X2:
+            q = max_pool_2x2(q)  # max in int8; qparams unchanged
+        elif op.kind is LayerKind.GLOBAL_AVG_POOL:
+            # the float64 sum of int8 values is exact, so this is the integer mean
+            q = np.clip(np.round(q.mean(axis=(2, 3))), -128, 127).astype(np.int8)
+        elif op.kind is LayerKind.LINEAR:
+            flat = q.reshape(-1, 1).astype(np.int32) - cur_q.zero_point
+            probs = softmax(_qgemm(op, cur_q, flat)[:, 0])
+    return probs
 
 
 def qforward(qnet: QNetwork, x: np.ndarray) -> np.ndarray:
     """Quantized inference; returns class probabilities.
 
     ``x`` is standardized model input like the float path takes, of shape
-    (1, F, T) or (N, 1, F, T).
+    (1, F, T) or (N, 1, F, T); inputs run one at a time (module docstring).
     """
     x = np.asarray(x, dtype=np.float32)
-    single = x.ndim == 3
-    if single:
-        x = x[None, ...]
-
-    cur_q = qnet.input_q
-    q = cur_q.quantize(x)
-    for op in qnet.ops:
-        if op.kind is LayerKind.CONV3X3:
-            n, _, h, w = q.shape
-            cols = _im2col3x3(q.astype(np.int32) - cur_q.zero_point)  # real zero maps to 0
-            real = _qgemm(op, cur_q, cols).reshape(n, -1, h, w)
-            del cols
-            np.maximum(real, 0, out=real)  # fused ReLU
-            cur_q = op.out_q
-            q = cur_q.quantize(real)
-        elif op.kind is LayerKind.MAXPOOL2X2:
-            q = max_pool_2x2(q)  # max in int8; qparams unchanged
-        elif op.kind is LayerKind.GLOBAL_AVG_POOL:
-            n, c, h, w = q.shape
-            total = q.astype(np.int32).sum(axis=(2, 3), keepdims=True)
-            q = np.clip(np.round(total / (h * w)), -128, 127).astype(np.int8)
-        elif op.kind is LayerKind.LINEAR:
-            flat = q.reshape(len(q), -1, 1).astype(np.int32) - cur_q.zero_point
-            probs = softmax(_qgemm(op, cur_q, flat).reshape(len(q), -1))
-    return probs[0] if single else probs
+    if x.ndim == 3:
+        return _qforward_one(qnet, x)
+    return np.array([_qforward_one(qnet, xi) for xi in x]).reshape(len(x), qnet.specs[-2].out_ch)
 
 
 # --- quantized weights files -------------------------------------------------

@@ -1,5 +1,7 @@
 """AdamW arithmetic and the training loop with best-F1 checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,11 @@ class TestFit:
         net = build_model("light", seed=0)
         h = fit(net, train_x, train_y, train_x, train_y, TrainConfig(epochs=1))
         assert "batch_size" in h.notes["defaults_not_specified_upstream"]
+
+    def test_notes_record_the_fixed_adam_constants(self):
+        # The training header of history.tsv prints these as JSON.
+        train_x, train_y = _blob_dataset(n_per_class=4, seed=8)
+        net = build_model("light", seed=0)
+        h = fit(net, train_x, train_y, train_x, train_y, TrainConfig(epochs=1))
+        pinned = {k: h.notes[k] for k in ("betas", "eps")}
+        assert json.dumps(pinned) == '{"betas": [0.9, 0.999], "eps": 1e-08}'
