@@ -213,12 +213,42 @@ def test_dropout_on_broadcast_rows_matches_oracle(dtype, train):
 # --- first-layer gradients ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", ["light", "baseline"])
-def test_backward_parameter_gradients_match_full_backward(variant):
+def _tie_heavy_stack(size, shape, seed):
+    """Values rounded to halves, with a constant region, an all-negative band
+    and a zero region. Over constant and zero input a conv's output is
+    constant, so pooling windows tie, and where that constant is negative
+    whole windows die at the ReLU."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal((size, *shape)) * 2) / 2
+    h, w = shape[1:]
+    x[..., : h // 3, : w // 2] = 1.0
+    x[..., h // 3 : 2 * h // 3, :] = -np.abs(x[..., h // 3 : 2 * h // 3, :])
+    x[..., 2 * h // 3 :, : w // 2] = 0.0
+    return x.astype(np.float32)
+
+
+# (variant, input kind, input shape); heavy runs on a small input. Odd H and W
+# leave trailing rows and columns that pooling drops.
+GRAD_INPUTS = [
+    ("light", "random", INPUT_SHAPE),
+    ("light", "tie_heavy", (1, 33, 61)),
+    ("baseline", "random", INPUT_SHAPE),
+    ("baseline", "tie_heavy", (1, 33, 61)),
+    ("heavy", "random", (1, 17, 13)),
+    ("heavy", "tie_heavy", (1, 17, 13)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant,kind,shape", GRAD_INPUTS)
+def test_backward_parameter_gradients_match_full_backward(variant, kind, shape, dtype):
     """Network.backward gives the gradients of backpropagating through every
     layer, the first conv's input gradient included."""
-    net = _net(variant, np.float32)
-    x = _stack(6, 8)
+    net = _net(variant, dtype)
+    if kind == "random":
+        x = np.random.default_rng(8).standard_normal((6, *shape)).astype(np.float32)
+    else:
+        x = _tie_heavy_stack(6, shape, 8)
     labels = np.array([0, 1, 1, 0, 1, 0])
     net.zero_grad()
     probs = net.forward(x, mode="train", rng=np.random.default_rng(1))
