@@ -12,8 +12,9 @@ the batch shape changes, so results are identical with or without reuse.
 These arrays are workspace views that the same layer's next call
 overwrites: the forward outputs of Conv3x3, Dropout (when it drops) and
 MaxPool2x2, and the gradients that the backward passes of Conv3x3, ReLU,
-Dropout (when it dropped) and MaxPool2x2 return. ReLU works in place: it
-overwrites its input (in a Network, the conv output buffer) and returns it.
+Dropout (when it dropped), MaxPool2x2 and ActivationTail return. ReLU works
+in place: it overwrites its input (in a Network, the conv output buffer)
+and returns it.
 
 Max pooling takes the max over the four stride-2 corner views of the input.
 Each window's gradient goes to its first corner, in window order (top-left,
@@ -22,6 +23,18 @@ top-right, bottom-left, bottom-right), that equals the max: the element
 so even a +0/-0 tie matches it. For finite values the kernels match, byte
 for byte, the gather/scatter and allocate-per-call formulation kept as
 oracles in tests/test_kernel_identity.py.
+
+A network's backward pass runs each ReLU -> Dropout (-> MaxPool2x2) tail as
+one ActivationTail (``backward_plan``). It reads the mask from the tail's
+output: the dropout output, or behind a pool the pooled output, is > 0
+exactly where the element (the window's winner) passed both the ReLU and
+the dropout gate. Behind a pool it scales the pooled-size gradient by that
+mask and the dropout scale and routes it to the winners with the
+MaxPool2x2 scatter, so no full-size mask or gradient pass runs before the
+scatter. Without a pool its result equals the per-layer chain byte for
+byte; behind one it can differ only in the sign of zeros, which no
+parameter gradient sees (``ActivationTail``). The per-layer backward
+methods stay, for stacks without that pattern and as the reference.
 
 Dropout keeps an element where the generator's next uniform draw (float64
 for float64 inputs, float32 otherwise) is >= p, exactly as comparing
@@ -129,6 +142,19 @@ def max_pool_2x2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.maximum(out, c01, out=out)
     np.maximum(out, c00, out=out)
     return out
+
+
+def _route_to_winners(grad: np.ndarray, code: np.ndarray, dx: np.ndarray, hit: np.ndarray) -> None:
+    """Write the pooled-size ``grad`` into ``dx`` at each window's winner
+    corner, as ``code`` from MaxPool2x2.forward names it. The other corners
+    get grad * 0, a zero with grad's sign; odd trailing rows and columns +0."""
+    for k, corner in enumerate(_corner_views(dx)):
+        np.equal(code, k, out=hit)
+        np.multiply(grad, hit, out=corner)
+    if dx.shape[2] % 2:
+        dx[:, :, -1, :] = 0
+    if dx.shape[3] % 2:
+        dx[:, :, :, -1] = 0
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -319,13 +345,13 @@ class Dropout:
         np.multiply(x, gate, out=out)
         out *= scale
         if train:
-            self._cache = (gate, scale)
+            self._cache = (gate, scale, out)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             return grad
-        gate, scale = self._cache
+        gate, scale, _ = self._cache
         dx = self._ws.get("dx", grad.shape, np.result_type(grad.dtype, scale.dtype))
         np.multiply(grad, gate, out=dx)
         dx *= scale
@@ -357,26 +383,98 @@ class MaxPool2x2:
             code += 1
             np.not_equal(c00, out, out=hit)
             code *= hit
-            self._cache = (code, x.shape)
+            self._cache = (code, out, x.shape)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StateError("maxpool backward without cached forward")
-        code, shape = self._cache
+        code, _, shape = self._cache
         dx = self._ws.get("dx", shape, grad.dtype)
-        hit = self._ws.get("hit", code.shape, np.bool_)
-        for k, corner in enumerate(_corner_views(dx)):
-            np.equal(code, k, out=hit)
-            np.multiply(grad, hit, out=corner)
-        if shape[2] % 2:
-            dx[:, :, -1, :] = 0
-        if shape[3] % 2:
-            dx[:, :, :, -1] = 0
+        _route_to_winners(grad, code, dx, self._ws.get("hit", code.shape, np.bool_))
         # grad * False is -0.0 where grad < 0; adding +0.0 makes every
         # non-winner +0.0 and leaves all other values as they are.
         dx += 0.0
         return dx
+
+
+class ActivationTail:
+    """Backward of a block tail, ReLU -> Dropout with or without a following
+    MaxPool2x2, as one kernel that reads its mask from the tail's output.
+
+    The dropout output is relu(x) * gate * scale with scale >= 1, so it is
+    > 0 exactly where the element passed both the ReLU and the gate; a
+    pooled value is the winner's dropout output, so ``pooled > 0`` holds
+    exactly where the winner passed both. Without a pool the input gradient
+    is ``(grad * (out > 0)) * scale``, byte for byte the ReLU(Dropout(grad))
+    chain, signed zeros included. Behind a pool the pooled-size gradient is
+    scaled by ``(pooled > 0) * scale`` and routed to each winner corner by
+    the scatter MaxPool2x2.backward uses, skipping the chain's full-size
+    ReLU-mask, ReLU-gradient and dropout-gradient passes and their buffers.
+    For finite values it can differ from the chain only in the sign of zero
+    entries (the scatter leaves grad * 0, which the chain's MaxPool2x2
+    turns into +0). Every consumer of that gradient, a conv's backward,
+    adds it into storage that starts at +0 (``zero_grad``, BLAS with beta 0,
+    col2im's zeroed buffer); a sum's value never depends on the sign of a
+    zero term, and +0 plus either zero is +0, so no parameter gradient and
+    no earlier layer's gradient changes. The returned gradient is a
+    workspace view, like the layers' own.
+    """
+
+    def __init__(self, relu: ReLU, dropout: Dropout, pool: MaxPool2x2 | None = None):
+        self.relu, self.dropout, self.pool = relu, dropout, pool
+        self._ws = _Workspace()
+
+    def params(self) -> list[Param]:
+        return []
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        if self.relu._out is None:
+            raise StateError("relu backward without cached forward")
+        if self.dropout._cache is None:  # an inactive dropout passes its input on
+            out, scale = self.relu._out, None
+        else:
+            _, scale, out = self.dropout._cache
+        if self.pool is not None:
+            if self.pool._cache is None:
+                raise StateError("maxpool backward without cached forward")
+            code, out, shape = self.pool._cache
+        live = self._ws.get("live", out.shape, np.bool_)
+        np.greater(out, 0, out=live)
+        g = self._ws.get("g", grad.shape, grad.dtype)
+        np.multiply(grad, live, out=g)
+        if scale is not None:
+            g *= scale
+        if self.pool is None:
+            return g
+        dx = self._ws.get("dx", shape, grad.dtype)
+        _route_to_winners(g, code, dx, self._ws.get("hit", code.shape, np.bool_))
+        return dx
+
+
+# Bound at import: a layer class later swapped into this module (an oracle
+# under test) has other caches, so it keeps its own backward.
+_TAIL_KINDS = (ReLU, Dropout, MaxPool2x2)
+
+
+def backward_plan(layers: list) -> list:
+    """The objects whose ``backward`` a backward pass calls, in forward
+    order: the layers, None entries dropped, with each ReLU -> Dropout
+    (-> MaxPool2x2) run of this module's classes fused into one
+    ActivationTail."""
+    relu, dropout, pool = _TAIL_KINDS
+    steps, i = [], 0
+    while i < len(layers):
+        kinds = [type(layer) for layer in layers[i : i + 3]]
+        if kinds[:2] == [relu, dropout]:
+            has_pool = kinds[2:] == [pool]
+            steps.append(ActivationTail(*layers[i : i + 2 + has_pool]))
+            i += 2 + has_pool
+            continue
+        if layers[i] is not None:
+            steps.append(layers[i])
+        i += 1
+    return steps
 
 
 class GlobalAvgPool:

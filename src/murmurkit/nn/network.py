@@ -109,6 +109,7 @@ class Network:
                 self.layers.append(None)  # handled in forward
             else:  # pragma: no cover
                 raise ConfigError(f"unknown layer kind {spec.kind}")
+        self._steps = L.backward_plan(self.layers)
         self._probs: np.ndarray | None = None
         self._train_cached = False
 
@@ -211,9 +212,14 @@ class Network:
         """Backpropagate mean cross-entropy; returns gradients in parameter order.
 
         The softmax + cross-entropy pair is fused: the gradient entering the
-        final linear layer is (probs - onehot) / N. Nothing consumes the
-        gradient of the network input, so a first conv layer computes only
-        its parameter gradients.
+        final linear layer is (probs - onehot) / N. Each block's ReLU ->
+        Dropout (-> MaxPool2x2) tail runs as one ``ActivationTail``, which
+        reads its mask from the tail's output (``pooled > 0`` behind a
+        pool); the plan is fixed when the network is built. Its input
+        gradient can differ from the per-layer chain only in the sign of
+        zero entries, which no parameter gradient sees (``ActivationTail``).
+        Nothing consumes the gradient of the network input, so a first conv
+        layer computes only its parameter gradients.
         """
         if not self._train_cached or self._probs is None:
             raise StateError("backward requires a forward pass in train mode")
@@ -225,14 +231,12 @@ class Network:
         onehot = np.zeros((n, k), dtype=probs.dtype)
         onehot[np.arange(n), labels] = 1
         grad = (probs - onehot) / n
-        for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            if layer is None:
-                continue  # fused with cross-entropy above
-            if i == 0 and isinstance(layer, L.Conv3x3):
-                layer.backward(grad, input_grad=False)
+        first = self.layers[0]
+        for step in reversed(self._steps):
+            if step is first and isinstance(step, L.Conv3x3):
+                step.backward(grad, input_grad=False)
             else:
-                grad = layer.backward(grad)
+                grad = step.backward(grad)
         self._train_cached = False
         return [p.grad.copy() for p in self.parameters()]
 
@@ -348,5 +352,9 @@ def load_network(weights_dir: str | Path) -> Network:
     variant, rows = read_weights(weights_dir, _WEIGHTS_FORMAT, "<f4")
     net = build_model(variant, seed=0)
     check_rows(weights_dir, rows, _rows(net))
-    net.set_weights([row[1] for row in rows if not isinstance(row, str)])
+    tensors = [row for row in rows if not isinstance(row, str)]
+    for name, values, _ in tensors:
+        if not np.isfinite(values).all():
+            raise ParseError(f"{weights_dir}: tensor {name} holds non-finite values")
+    net.set_weights([values for _, values, _ in tensors])
     return net

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyDatasetError
+from ..errors import ConfigError, EmptyDatasetError, NumericError
 from ..metrics import binary_metrics
 from . import layers as L
 from .network import Network
@@ -122,6 +122,8 @@ def fit(
     Present-class oversampling is expected to have been applied upstream by
     segmenting positive recordings with a quartered hop; no loss re-weighting
     happens here. Ties in the best-F1 selection resolve to the earlier epoch.
+    A non-finite epoch loss raises NumericError before any checkpoint, so
+    diverged weights are never returned as trained.
     """
     if len(train_x) == 0:
         raise EmptyDatasetError("training set is empty")
@@ -159,6 +161,8 @@ def fit(
             opt.step()
             total_loss += loss * len(idx)
         train_loss = total_loss / len(order)
+        if not np.isfinite(train_loss):
+            raise NumericError(f"epoch {epoch}: training loss is {train_loss}; the weights diverged")
 
         val_pred = predict_labels(net, val_x)
         m = binary_metrics(val_pred, val_y)

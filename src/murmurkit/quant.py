@@ -254,20 +254,30 @@ def save_qnetwork(qnet: QNetwork, out_dir: str | Path) -> None:
     write_weights(out_dir, _QWEIGHTS_FORMAT, qnet.variant, "i1", _rows(qnet))
 
 
+def _scale(text: str) -> float:
+    scale = float(text)
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale {text!r} is not a finite positive number")
+    return scale
+
+
 def load_qnetwork(weights_dir: str | Path) -> QNetwork:
     """Load int8 weights; every row must be what ``save_qnetwork`` would
     write for the network read back, with the tensor shapes of the float
-    network of the same variant."""
+    network of the same variant. Scales must be finite and positive and
+    zero points int8 values."""
     variant, rows = read_weights(weights_dir, _QWEIGHTS_FORMAT, "i1")
     tensors, act = {}, {}
     with malformed_rows(weights_dir):
         for row in rows:
             if isinstance(row, tuple):
                 name, values, (scale,) = row
-                tensors[name] = QTensor(values, float(scale))
+                tensors[name] = QTensor(values, _scale(scale))
             elif row.startswith(("input_q\t", "act_q\t")):
                 *key, scale, zero_point = row.split("\t")
-                act[key[-1]] = ActQuant(float(scale), int(zero_point))
+                if not -128 <= int(zero_point) <= 127:
+                    raise ValueError(f"zero point {zero_point} is outside int8")
+                act[key[-1]] = ActQuant(_scale(scale), int(zero_point))
         qnet = _build(variant, tensors, act)
     check_rows(weights_dir, rows, _rows(qnet))
     shapes = [row[1].shape for row in rows if isinstance(row, tuple)]

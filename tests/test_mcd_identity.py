@@ -7,7 +7,9 @@ the segment, and dropout draws one float per element with ``rng.random`` and
 keeps the elements whose draw is >= p. The conv, ReLU, pooling and linear
 layers are the network's own: only the order of work and the dropout draw
 are under test. Results, pass probabilities and the generator state left
-behind must match bit for bit, in float32 and float64.
+behind must match bit for bit, in float32 and float64. The parameter
+gradients of ``Network.backward``, which fuses each block's ReLU -> Dropout
+(-> MaxPool2x2) tail, must match those of the per-layer backward chain.
 """
 
 import numpy as np
@@ -266,3 +268,25 @@ def test_backward_parameter_gradients_match_full_backward(variant, kind, shape, 
     assert len(got) == len(want)
     for g, w in zip(got, want):
         _same_bytes(g, w)
+
+
+@pytest.mark.parametrize(
+    "variant,shape",
+    [("light", INPUT_SHAPE), ("baseline", INPUT_SHAPE), ("heavy", (1, 17, 13))],
+    ids=["light", "baseline", "heavy"],
+)
+def test_backward_fuses_every_block_tail(variant, shape, monkeypatch):
+    """A train step never calls the per-layer ReLU or Dropout backward: every
+    ReLU -> Dropout tail runs fused. A plan that fell back to the per-layer
+    chain would pass the identity test above and lose the fused kernel."""
+
+    def refuse(self, grad):
+        raise AssertionError(f"{type(self).__name__}.backward ran outside a fused tail")
+
+    monkeypatch.setattr(L.ReLU, "backward", refuse)
+    monkeypatch.setattr(L.Dropout, "backward", refuse)
+    net = _net(variant, np.float32)
+    x = np.random.default_rng(8).standard_normal((4, *shape)).astype(np.float32)
+    net.forward(x, mode="train", rng=np.random.default_rng(1))
+    grads = net.backward(np.array([0, 1, 1, 0]))
+    assert len(grads) == len(net.parameters())

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from murmurkit.errors import ConfigError, EmptyDatasetError
+from murmurkit.errors import ConfigError, EmptyDatasetError, NumericError
 from murmurkit.nn import TrainConfig, adamw_step, build_model, fit
 from murmurkit.nn.train import predict_labels
 
@@ -98,6 +98,15 @@ class TestFit:
         empty = np.zeros((0, 1, 33, 124), dtype=np.float32)
         with pytest.raises(EmptyDatasetError):
             fit(net, empty, np.zeros(0), empty, np.zeros(0), TrainConfig(epochs=1))
+
+    def test_diverging_loss_raises_naming_the_epoch(self):
+        # One batch per epoch: epoch 1's loss is taken before the first step,
+        # so the first non-finite loss is epoch 2's.
+        train_x, train_y = _blob_dataset(n_per_class=6, seed=2)
+        val_x, val_y = _blob_dataset(n_per_class=3, seed=3)
+        net = build_model("light", seed=1)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 2"):
+            fit(net, train_x, train_y, val_x, val_y, TrainConfig(lr=1e12, epochs=3, seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

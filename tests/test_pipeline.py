@@ -20,7 +20,7 @@ from murmurkit.dataset import (
     synth_recording,
     write_recording,
 )
-from murmurkit.errors import ConfigError
+from murmurkit.errors import ConfigError, NumericError
 from murmurkit.nn import build_model
 from murmurkit.pipeline import PipelineConfig
 
@@ -271,6 +271,13 @@ class TestTrainAndInfer:
         assert [(e.train_loss, e.val_f1) for e in h1.epochs] == [
             (e.train_loss, e.val_f1) for e in h2.epochs
         ]
+
+    def test_diverging_training_saves_no_weights(self, corpus, tmp_path):
+        manifest, base = corpus
+        cfg = PipelineConfig(seed=11, epochs=1, lr=1e12)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 1"):
+            pipeline.train_run(manifest, base, cfg, tmp_path / "r")
+        assert not (tmp_path / "r" / "weights").exists()
 
     def test_quantize_run(self, trained, tmp_path):
         manifest, base, cfg, outcome = trained

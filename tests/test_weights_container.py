@@ -199,6 +199,48 @@ def test_float_manifest_with_int8_dtype_rejected(dirs, tmp_path):
         load_network(_edit(dirs / "weights", tmp_path / "d", int8))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_tensor_rejected(dirs, value, tmp_path):
+    # A diverged run's weights: the blob and its checksum are consistent.
+    d = _edit(dirs / "weights", tmp_path / "d", lambda lines: lines)
+    w = np.fromfile(d / "layer0.w.bin", dtype="<f4")
+    w[5] = value
+    blob = w.tobytes()
+    (d / "layer0.w.bin").write_bytes(blob)
+
+    def new_crc(lines):
+        return [
+            l.rsplit("\t", 1)[0] + f"\t{zlib.crc32(blob):08x}" if "\tlayer0.w.bin\t" in l else l
+            for l in lines
+        ]
+
+    d = _edit(d, tmp_path / "e", new_crc)
+    with pytest.raises(ParseError, match="layer0.w holds non-finite"):
+        load_network(d)
+
+
+# (row prefix, column) of an input, activation and tensor scale, and of the
+# two zero points.
+SCALE_FIELDS = [("input_q", 1), ("act_q", 2), ("tensor", 3)]
+ZERO_POINT_FIELDS = [("input_q", 2), ("act_q", 3)]
+
+
+@pytest.mark.parametrize(
+    "prefix,column,value",
+    [(*field, v) for field in SCALE_FIELDS for v in ("nan", "inf", "0.0", "-1.0")]
+    + [(*field, v) for field in ZERO_POINT_FIELDS for v in ("999", "-129")],
+)
+def test_int8_scale_and_zero_point_out_of_range_rejected(dirs, prefix, column, value, tmp_path):
+    def set_field(lines):
+        first = next(i for i, l in enumerate(lines) if l.startswith(f"{prefix}\t"))
+        fields = lines[first].split("\t")
+        fields[column] = value
+        return [*lines[:first], "\t".join(fields), *lines[first + 1 :]]
+
+    with pytest.raises(ParseError, match="scale|zero point"):
+        load_qnetwork(_edit(dirs / "qweights", tmp_path / "d", set_field))
+
+
 def test_cli_resources_rejects_int8_weights(dirs, capsys):
     assert run(["resources", "--weights", str(dirs / "qweights")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
