@@ -25,16 +25,10 @@ for byte, the gather/scatter and allocate-per-call formulation kept as
 oracles in tests/test_kernel_identity.py.
 
 A network's backward pass runs each ReLU -> Dropout (-> MaxPool2x2) tail as
-one ActivationTail (``backward_plan``). It reads the mask from the tail's
-output: the dropout output, or behind a pool the pooled output, is > 0
-exactly where the element (the window's winner) passed both the ReLU and
-the dropout gate. Behind a pool it scales the pooled-size gradient by that
-mask and the dropout scale and routes it to the winners with the
-MaxPool2x2 scatter, so no full-size mask or gradient pass runs before the
-scatter. Without a pool its result equals the per-layer chain byte for
-byte; behind one it can differ only in the sign of zeros, which no
-parameter gradient sees (``ActivationTail``). The per-layer backward
-methods stay, for stacks without that pattern and as the reference.
+one ActivationTail (``backward_plan``), which reads its mask from the
+tail's output (``pooled > 0`` behind a pool) and gives the parameter
+gradients of the per-layer chain. The per-layer backward methods stay, for
+stacks without that pattern and as the reference.
 
 Dropout keeps an element where the generator's next uniform draw (float64
 for float64 inputs, float32 otherwise) is >= p, exactly as comparing
@@ -399,52 +393,40 @@ class MaxPool2x2:
 
 
 class ActivationTail:
-    """Backward of a block tail, ReLU -> Dropout with or without a following
-    MaxPool2x2, as one kernel that reads its mask from the tail's output.
+    """Backward of a block tail, ReLU -> active Dropout with or without a
+    following MaxPool2x2, as one kernel that reads its mask from the tail's
+    output.
 
     The dropout output is relu(x) * gate * scale with scale >= 1, so it is
-    > 0 exactly where the element passed both the ReLU and the gate; a
-    pooled value is the winner's dropout output, so ``pooled > 0`` holds
-    exactly where the winner passed both. Without a pool the input gradient
-    is ``(grad * (out > 0)) * scale``, byte for byte the ReLU(Dropout(grad))
-    chain, signed zeros included. Behind a pool the pooled-size gradient is
-    scaled by ``(pooled > 0) * scale`` and routed to each winner corner by
-    the scatter MaxPool2x2.backward uses, skipping the chain's full-size
-    ReLU-mask, ReLU-gradient and dropout-gradient passes and their buffers.
-    For finite values it can differ from the chain only in the sign of zero
-    entries (the scatter leaves grad * 0, which the chain's MaxPool2x2
-    turns into +0). Every consumer of that gradient, a conv's backward,
-    adds it into storage that starts at +0 (``zero_grad``, BLAS with beta 0,
-    col2im's zeroed buffer); a sum's value never depends on the sign of a
-    zero term, and +0 plus either zero is +0, so no parameter gradient and
-    no earlier layer's gradient changes. The returned gradient is a
-    workspace view, like the layers' own.
+    > 0 exactly where the element passed both the ReLU and the gate, and a
+    pooled value > 0 exactly where its window's winner did. Without a pool
+    the input gradient is ``(grad * (out > 0)) * scale``: the bytes of the
+    ReLU(Dropout(grad)) chain, signed zeros included. Behind a pool the
+    pooled-size gradient is scaled by ``(pooled > 0) * scale`` and routed to
+    the winners by MaxPool2x2's scatter, without the chain's full-size
+    ReLU-mask, ReLU-gradient and dropout-gradient passes and buffers. For
+    finite values this can differ from the chain only in the sign of zero
+    entries. A conv's backward, the consumer, adds that gradient into
+    storage that starts at +0 (``zero_grad``, BLAS with beta 0, col2im's
+    zeroed buffer): no sum's value depends on a zero's sign and +0 plus
+    either zero is +0, so no parameter gradient changes.
     """
 
-    def __init__(self, relu: ReLU, dropout: Dropout, pool: MaxPool2x2 | None = None):
-        self.relu, self.dropout, self.pool = relu, dropout, pool
+    def __init__(self, dropout: Dropout, pool: MaxPool2x2 | None = None):
+        self.dropout, self.pool = dropout, pool
         self._ws = _Workspace()
 
-    def params(self) -> list[Param]:
-        return []
-
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self.relu._out is None:
-            raise StateError("relu backward without cached forward")
-        if self.dropout._cache is None:  # an inactive dropout passes its input on
-            out, scale = self.relu._out, None
-        else:
-            _, scale, out = self.dropout._cache
+        if self.dropout._cache is None or (self.pool is not None and self.pool._cache is None):
+            raise StateError("block tail backward without cached forward")
+        _, scale, out = self.dropout._cache
         if self.pool is not None:
-            if self.pool._cache is None:
-                raise StateError("maxpool backward without cached forward")
             code, out, shape = self.pool._cache
         live = self._ws.get("live", out.shape, np.bool_)
         np.greater(out, 0, out=live)
         g = self._ws.get("g", grad.shape, grad.dtype)
         np.multiply(grad, live, out=g)
-        if scale is not None:
-            g *= scale
+        g *= scale
         if self.pool is None:
             return g
         dx = self._ws.get("dx", shape, grad.dtype)
@@ -459,16 +441,17 @@ _TAIL_KINDS = (ReLU, Dropout, MaxPool2x2)
 
 def backward_plan(layers: list) -> list:
     """The objects whose ``backward`` a backward pass calls, in forward
-    order: the layers, None entries dropped, with each ReLU -> Dropout
+    order: ``layers`` without None entries, each ReLU -> Dropout
     (-> MaxPool2x2) run of this module's classes fused into one
-    ActivationTail."""
+    ActivationTail. A Dropout with p = 0 passes its input on and caches
+    nothing, so its run keeps the per-layer backward."""
     relu, dropout, pool = _TAIL_KINDS
     steps, i = [], 0
     while i < len(layers):
         kinds = [type(layer) for layer in layers[i : i + 3]]
-        if kinds[:2] == [relu, dropout]:
+        if kinds[:2] == [relu, dropout] and layers[i + 1].p > 0:
             has_pool = kinds[2:] == [pool]
-            steps.append(ActivationTail(*layers[i : i + 2 + has_pool]))
+            steps.append(ActivationTail(*layers[i + 1 : i + 2 + has_pool]))
             i += 2 + has_pool
             continue
         if layers[i] is not None:

@@ -213,13 +213,13 @@ class Network:
 
         The softmax + cross-entropy pair is fused: the gradient entering the
         final linear layer is (probs - onehot) / N. Each block's ReLU ->
-        Dropout (-> MaxPool2x2) tail runs as one ``ActivationTail``, which
-        reads its mask from the tail's output (``pooled > 0`` behind a
-        pool); the plan is fixed when the network is built. Its input
-        gradient can differ from the per-layer chain only in the sign of
-        zero entries, which no parameter gradient sees (``ActivationTail``).
-        Nothing consumes the gradient of the network input, so a first conv
-        layer computes only its parameter gradients.
+        Dropout (-> MaxPool2x2) tail runs as one ``ActivationTail``, planned
+        when the network is built; it reads its mask from the tail's output
+        (``pooled > 0`` behind a pool), and its input gradient can differ
+        from the per-layer chain only in the sign of zeros, which no
+        parameter gradient sees. Nothing consumes the gradient of the
+        network input, so a first conv layer computes only its parameter
+        gradients.
         """
         if not self._train_cached or self._probs is None:
             raise StateError("backward requires a forward pass in train mode")

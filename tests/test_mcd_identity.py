@@ -12,11 +12,13 @@ gradients of ``Network.backward``, which fuses each block's ReLU -> Dropout
 (-> MaxPool2x2) tail, must match those of the per-layer backward chain.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from murmurkit.errors import ConfigError
-from murmurkit.nn import build_model
+from murmurkit.nn import Network, Variant, build_model, variant_specs
 from murmurkit.nn import layers as L
 from murmurkit.uq import _scores, mcd_predict_batch
 
@@ -229,28 +231,7 @@ def _tie_heavy_stack(size, shape, seed):
     return x.astype(np.float32)
 
 
-# (variant, input kind, input shape); heavy runs on a small input. Odd H and W
-# leave trailing rows and columns that pooling drops.
-GRAD_INPUTS = [
-    ("light", "random", INPUT_SHAPE),
-    ("light", "tie_heavy", (1, 33, 61)),
-    ("baseline", "random", INPUT_SHAPE),
-    ("baseline", "tie_heavy", (1, 33, 61)),
-    ("heavy", "random", (1, 17, 13)),
-    ("heavy", "tie_heavy", (1, 17, 13)),
-]
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("variant,kind,shape", GRAD_INPUTS)
-def test_backward_parameter_gradients_match_full_backward(variant, kind, shape, dtype):
-    """Network.backward gives the gradients of backpropagating through every
-    layer, the first conv's input gradient included."""
-    net = _net(variant, dtype)
-    if kind == "random":
-        x = np.random.default_rng(8).standard_normal((6, *shape)).astype(np.float32)
-    else:
-        x = _tie_heavy_stack(6, shape, 8)
+def _assert_backward_matches_full_backward(net, x):
     labels = np.array([0, 1, 1, 0, 1, 0])
     net.zero_grad()
     probs = net.forward(x, mode="train", rng=np.random.default_rng(1))
@@ -268,6 +249,54 @@ def test_backward_parameter_gradients_match_full_backward(variant, kind, shape, 
     assert len(got) == len(want)
     for g, w in zip(got, want):
         _same_bytes(g, w)
+
+
+# (variant, input kind, input shape); heavy runs on a small input. Odd H and W
+# leave trailing rows and columns that pooling drops.
+GRAD_INPUTS = [
+    ("light", "random", INPUT_SHAPE),
+    ("light", "tie_heavy", (1, 33, 61)),
+    ("baseline", "random", INPUT_SHAPE),
+    ("baseline", "tie_heavy", (1, 33, 61)),
+    ("heavy", "random", (1, 17, 13)),
+    ("heavy", "tie_heavy", (1, 17, 13)),
+]
+# Ids name the variant, then the input kind and dtype where they are not
+# random and float32.
+GRAD_CASES = [
+    pytest.param(
+        variant,
+        kind,
+        shape,
+        dtype,
+        id="-".join(
+            [variant]
+            + [kind] * (kind != "random")
+            + [np.dtype(dtype).name] * (dtype is not np.float32)
+        ),
+    )
+    for variant, kind, shape in GRAD_INPUTS
+    for dtype in (np.float32, np.float64)
+]
+
+
+@pytest.mark.parametrize("variant,kind,shape,dtype", GRAD_CASES)
+def test_backward_parameter_gradients_match_full_backward(variant, kind, shape, dtype):
+    """Network.backward gives the gradients of backpropagating through every
+    layer, the first conv's input gradient included."""
+    if kind == "random":
+        x = np.random.default_rng(8).standard_normal((6, *shape)).astype(np.float32)
+    else:
+        x = _tie_heavy_stack(6, shape, 8)
+    _assert_backward_matches_full_backward(_net(variant, dtype), x)
+
+
+def test_backward_with_inactive_dropout_matches_full_backward():
+    # A p = 0 dropout passes its input on and caches nothing; its block keeps
+    # the per-layer backward.
+    specs = [dataclasses.replace(s, p=0.0) for s in variant_specs(Variant.LIGHT)]
+    net = Network(Variant.LIGHT, specs, rng=np.random.default_rng(3))
+    _assert_backward_matches_full_backward(net, _stack(6, 8))
 
 
 @pytest.mark.parametrize(
