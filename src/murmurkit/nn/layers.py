@@ -393,9 +393,8 @@ class MaxPool2x2:
 
 
 class ActivationTail:
-    """Backward of a block tail, ReLU -> active Dropout with or without a
-    following MaxPool2x2, as one kernel that reads its mask from the tail's
-    output.
+    """Backward of a block tail, ReLU -> Dropout with or without a following
+    MaxPool2x2, as one kernel that reads its mask from the tail's output.
 
     The dropout output is relu(x) * gate * scale with scale >= 1, so it is
     > 0 exactly where the element passed both the ReLU and the gate, and a
@@ -409,24 +408,30 @@ class ActivationTail:
     entries. A conv's backward, the consumer, adds that gradient into
     storage that starts at +0 (``zero_grad``, BLAS with beta 0, col2im's
     zeroed buffer): no sum's value depends on a zero's sign and +0 plus
-    either zero is +0, so no parameter gradient changes.
+    either zero is +0, so no parameter gradient changes. A dropout that was
+    inactive (p = 0) passed the ReLU output on, so then the mask is read
+    from that output and nothing is scaled.
     """
 
-    def __init__(self, dropout: Dropout, pool: MaxPool2x2 | None = None):
-        self.dropout, self.pool = dropout, pool
+    def __init__(self, relu: ReLU, dropout: Dropout, pool: MaxPool2x2 | None = None):
+        self.relu, self.dropout, self.pool = relu, dropout, pool
         self._ws = _Workspace()
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self.dropout._cache is None or (self.pool is not None and self.pool._cache is None):
+        if self.relu._out is None or (self.pool is not None and self.pool._cache is None):
             raise StateError("block tail backward without cached forward")
-        _, scale, out = self.dropout._cache
+        if self.dropout._cache is None:
+            out, scale = self.relu._out, None
+        else:
+            _, scale, out = self.dropout._cache
         if self.pool is not None:
             code, out, shape = self.pool._cache
         live = self._ws.get("live", out.shape, np.bool_)
         np.greater(out, 0, out=live)
         g = self._ws.get("g", grad.shape, grad.dtype)
         np.multiply(grad, live, out=g)
-        g *= scale
+        if scale is not None:
+            g *= scale
         if self.pool is None:
             return g
         dx = self._ws.get("dx", shape, grad.dtype)
@@ -443,15 +448,14 @@ def backward_plan(layers: list) -> list:
     """The objects whose ``backward`` a backward pass calls, in forward
     order: ``layers`` without None entries, each ReLU -> Dropout
     (-> MaxPool2x2) run of this module's classes fused into one
-    ActivationTail. A Dropout with p = 0 passes its input on and caches
-    nothing, so its run keeps the per-layer backward."""
+    ActivationTail."""
     relu, dropout, pool = _TAIL_KINDS
     steps, i = [], 0
     while i < len(layers):
         kinds = [type(layer) for layer in layers[i : i + 3]]
-        if kinds[:2] == [relu, dropout] and layers[i + 1].p > 0:
+        if kinds[:2] == [relu, dropout]:
             has_pool = kinds[2:] == [pool]
-            steps.append(ActivationTail(*layers[i + 1 : i + 2 + has_pool]))
+            steps.append(ActivationTail(*layers[i : i + 2 + has_pool]))
             i += 2 + has_pool
             continue
         if layers[i] is not None:

@@ -292,8 +292,8 @@ def test_backward_parameter_gradients_match_full_backward(variant, kind, shape, 
 
 
 def test_backward_with_inactive_dropout_matches_full_backward():
-    # A p = 0 dropout passes its input on and caches nothing; its block keeps
-    # the per-layer backward.
+    # A p = 0 dropout passes the ReLU output on and caches nothing, so the
+    # fused tail reads its mask from that output and does not scale.
     specs = [dataclasses.replace(s, p=0.0) for s in variant_specs(Variant.LIGHT)]
     net = Network(Variant.LIGHT, specs, rng=np.random.default_rng(3))
     _assert_backward_matches_full_backward(net, _stack(6, 8))
