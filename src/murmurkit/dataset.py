@@ -166,7 +166,10 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
-    return parse_manifest(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_manifest(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 @dataclass(frozen=True)

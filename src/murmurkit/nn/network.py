@@ -264,10 +264,10 @@ def layer_rows(specs: list[LayerSpec]) -> list[str]:
 
 @contextmanager
 def malformed_rows(weights_dir: str | Path):
-    """Turn a bad row (missing column, bad number or enum) into a ParseError."""
+    """Turn a bad row (missing column, bad number or enum, missing blob) into a ParseError."""
     try:
         yield
-    except (IndexError, KeyError, ValueError) as exc:
+    except (IndexError, KeyError, ValueError, OSError) as exc:
         raise ParseError(f"{weights_dir}: malformed weights manifest: {exc}") from None
 
 
@@ -303,10 +303,10 @@ def read_weights(weights_dir: str | Path, fmt: str, dtype: str) -> tuple[Variant
     base = Path(weights_dir)
     if not (base / "manifest").exists():
         raise ParseError(f"{weights_dir}: missing weights manifest")
-    lines = (base / "manifest").read_text(encoding="utf-8").splitlines()
-    if lines[:1] != [f"format\t{fmt}\t{_FORMAT_VERSION}"]:
-        raise ParseError(f"{weights_dir}: not a {fmt} version {_FORMAT_VERSION} manifest")
     with malformed_rows(weights_dir):
+        lines = (base / "manifest").read_text(encoding="utf-8").splitlines()
+        if lines[:1] != [f"format\t{fmt}\t{_FORMAT_VERSION}"]:
+            raise ParseError(f"{weights_dir}: not a {fmt} version {_FORMAT_VERSION} manifest")
         if not lines[1].startswith("variant\t") or lines[2] != f"dtype\t{np.dtype(dtype).name}":
             raise ValueError(f"rows 2-3 must give the variant and dtype {np.dtype(dtype).name}")
         variant = Variant(lines[1].split("\t")[1])

@@ -11,7 +11,6 @@ from ..metrics import binary_metrics
 from . import layers as L
 from .network import Network
 
-_EVAL_BATCH = 256
 _BETAS = (0.9, 0.999)
 _EPS = 1e-8
 
@@ -101,12 +100,12 @@ class History:
 
 
 def predict_labels(net: Network, x: np.ndarray) -> np.ndarray:
-    """Deterministic eval-mode class predictions for a stack of inputs."""
-    preds = []
-    for lo in range(0, len(x), _EVAL_BATCH):
-        probs = net.forward(x[lo : lo + _EVAL_BATCH], mode="eval")
-        preds.append(probs.argmax(axis=1))
-    return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
+    """Deterministic eval-mode class predictions for a stack of inputs, run
+    one input at a time like the int8 twin: memory does not grow with the
+    stack, and a row's label does not depend on the rows around it, which
+    a batched linear head rounds differently with the batch size."""
+    labels = [net.forward(xi[None], mode="eval")[0].argmax() for xi in x]
+    return np.array(labels, dtype=np.int64)
 
 
 def fit(

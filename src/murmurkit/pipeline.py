@@ -400,6 +400,7 @@ class UqRow:
     location: Location
     start_s: float
     p_present: float
+    pred: int  # the deterministic label, as the selective vote reads it
     entropy: float
     coherence: float
     confidence: float
@@ -448,17 +449,19 @@ def infer_patients(
                     location=lf.location,
                     rule=cfg.vote_rule,
                 )
-                for start, r in zip(lf.start_s, results):
+                kept = set(uq.select_confident(results, policy)[0])
+                for i, (start, r) in enumerate(zip(lf.start_s, results)):
                     uq_rows.append(
                         UqRow(
                             patient_id=pf.patient_id,
                             location=lf.location,
                             start_s=start,
                             p_present=float(r.deterministic_probs[1]),
+                            pred=r.deterministic_pred,
                             entropy=r.entropy,
                             coherence=r.coherence,
                             confidence=r.confidence,
-                            kept=r.confidence >= policy.cs_threshold,
+                            kept=i in kept,
                         )
                     )
             else:
@@ -689,9 +692,8 @@ def uq_report(
         label = result.truths[row.patient_id]
         if label is MurmurLabel.UNKNOWN:
             continue
-        seg_pred = 1 if row.p_present >= 0.5 else 0
         seg_true = 1 if label is MurmurLabel.PRESENT else 0
-        (cc_scores if seg_pred == seg_true else mc_scores).append(row.confidence)
+        (cc_scores if row.pred == seg_true else mc_scores).append(row.confidence)
 
     edges = np.round(np.arange(0.0, 1.0001, 0.05), 2)
     cc_hist, _ = np.histogram(cc_scores, bins=edges)

@@ -7,7 +7,7 @@ multiplies int8 weights into centered int8 activations through float64 BLAS,
 which is exact and equals int32 accumulation, because every product is an
 integer and ``_check_accumulator_bound`` keeps every partial sum below 2^31,
 far inside float64's exact integer range of 2^53. Pooling runs on int8
-directly (max) or via an int32 sum (average); softmax stays in real
+directly (max) or as the exact float64 mean (average); softmax stays in real
 arithmetic. Every conv is followed by a ReLU, which is always fused into
 it, and the final linear layer gives the logits. Like a microcontroller,
 the twin runs one input at a time, both in ``qforward`` and when
@@ -42,6 +42,9 @@ from .nn.network import (
 
 _QMAX = 127
 _ACC_LIMIT = 2**31
+# The largest scale at which every int8 value, -128 included, dequantizes
+# to a finite float32.
+_MAX_SCALE = float(np.finfo(np.float32).max) / 128
 
 
 @dataclass(frozen=True)
@@ -256,16 +259,16 @@ def save_qnetwork(qnet: QNetwork, out_dir: str | Path) -> None:
 
 def _scale(text: str) -> float:
     scale = float(text)
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale {text!r} is not a finite positive number")
+    if not 0 < scale <= _MAX_SCALE:  # also rejects nan
+        raise ValueError(f"scale {text!r} is not in (0, {_MAX_SCALE:.3g}]")
     return scale
 
 
 def load_qnetwork(weights_dir: str | Path) -> QNetwork:
     """Load int8 weights; every row must be what ``save_qnetwork`` would
     write for the network read back, with the tensor shapes of the float
-    network of the same variant. Scales must be finite and positive and
-    zero points int8 values."""
+    network of the same variant. Scales must be positive and at most
+    ``_MAX_SCALE``, and zero points int8 values."""
     variant, rows = read_weights(weights_dir, _QWEIGHTS_FORMAT, "i1")
     tensors, act = {}, {}
     with malformed_rows(weights_dir):

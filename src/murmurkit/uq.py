@@ -116,12 +116,13 @@ def mcd_predict_batch(
 
     The layers before the first dropout layer (the stem: conv -> ReLU in
     every variant) are deterministic, so they run once, in eval mode, over
-    the whole stack. The deterministic pass continues from the stem output;
-    each segment's n stochastic passes continue from a broadcast view of
-    its stem row as one n-row batch with dropout active, drawn from the
-    segment's own spawned RNG stream, so results do not depend on how the
-    stack was batched. The results are byte-identical to running every pass
-    from the input, as the oracles in tests/test_mcd_identity.py do.
+    the whole stack, as does the deterministic pass from the stem output,
+    whose probabilities can move by a few float32 ulps with the stack size
+    (ROADMAP item 1). Each segment's n stochastic passes run as one n-row
+    batch from a broadcast view of its stem row, drawn from the segment's
+    own spawned RNG stream, so they do not depend on the rest of the stack.
+    The results are byte-identical to running every pass from the input,
+    as the oracles in tests/test_mcd_identity.py do.
     """
     if n < 2:
         raise ConfigError(f"MC-Dropout needs n >= 2 stochastic passes, got {n}")

@@ -73,6 +73,12 @@ class TestParseManifest:
         with pytest.raises(ParseError, match="line 1: .*more than twice"):
             parse_manifest(f"p1\tTrain\tAbsent\t{refs}\n")
 
+    def test_manifest_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"p1\tTrain\tAbsent\tAV:\x80.wav\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            dataset.read_manifest(path)
+
     def test_multiple_recordings_and_comments(self):
         text = "# corpus\np2\tValidation\tPresent\tAV:a.wav,MV:b.wav\n"
         m = parse_manifest(text)

@@ -1,8 +1,9 @@
 """The program surface that perfbench's traced runs rely on.
 
-perfbench wraps named functions of ``murmurkit`` from outside and reads its
-``quant`` metrics off the spans of a probe ``quantize_run``. These tests
-fail when a rename or a restructuring in ``src/`` would break that reading.
+perfbench wraps named functions of ``murmurkit`` from outside and reads
+every metric group off the spans of a probe pass: ``train_run``, selective
+infer and ``quantize_run`` on a small seeded corpus. These tests fail when
+a rename or a restructuring in ``src/`` would break that reading.
 """
 
 import math
@@ -22,20 +23,29 @@ def test_every_traced_name_resolves():
 
 
 @pytest.fixture(scope="module")
-def quant_probe(tmp_path_factory):
-    return probes.probe_pass(seed=11, work=tmp_path_factory.mktemp("probe"), groups=["quant"])
+def probe(tmp_path_factory):
+    return probes.probe_pass(seed=11, work=tmp_path_factory.mktemp("probe"), groups=["uq", "quant"])
 
 
-def test_quant_metrics_are_finite(quant_probe):
-    metrics = probes.quant_metrics(quant_probe, 1)
+@pytest.mark.parametrize(
+    "read", [probes.train_metrics, probes.dsp_metrics, probes.uq_metrics], ids=["train", "dsp", "uq"]
+)
+def test_group_metrics_are_finite(probe, read):
+    metrics = read(probe, 1)
+    assert metrics
+    assert all(math.isfinite(v) for v in metrics.values()), metrics
+
+
+def test_quant_metrics_are_finite(probe):
+    metrics = probes.quant_metrics(probe, 1)
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     assert metrics["quant.qforward_over_float"] > 0
 
 
-def test_one_qforward_span_per_quantize_run(quant_probe):
-    spans = quant_probe.named("quant.qforward")
-    runs = quant_probe.named("pipeline.quantize_run")
+def test_one_qforward_span_per_quantize_run(probe):
+    spans = probe.named("quant.qforward")
+    runs = probe.named("pipeline.quantize_run")
     assert len(runs) == 1
     for run in runs:
-        under = [i for i in spans if run in quant_probe.ancestors(i)]
+        under = [i for i in spans if run in probe.ancestors(i)]
         assert len(under) == 1

@@ -366,3 +366,22 @@ class TestUqReport:
         net = load_network(outcome.weights_dir)
         report = pipeline.uq_report(net, manifest, base, Split.TRAIN, cfg)
         assert any(l.startswith("# mann_whitney_known_vs_unknown\t") for l in report.splitlines())
+
+    def test_tied_segments_count_as_the_vote_labels_them(self, tmp_path):
+        # A network of zeros reads [0.5, 0.5] for every segment. The vote's
+        # argmax calls a tie Absent, so the report must count it Absent too.
+        manifest = read_manifest(pipeline.synth_corpus(tmp_path, 20, seed=5))
+        cfg = PipelineConfig(seed=5)
+        net = build_model("light", seed=0)
+        for p in net.parameters():
+            p.value[...] = 0
+        feats = pipeline.eval_features(manifest, tmp_path, Split.VALIDATION, cfg)
+        result = pipeline.infer_patients(net, feats, cfg, selective=True)
+        assert {p.label for p in result.predictions} == {MurmurLabel.ABSENT}
+        truths = [result.truths[row.patient_id] for row in result.uq_rows]
+        known = [t for t in truths if t is not MurmurLabel.UNKNOWN]
+        absent_share = sum(t is MurmurLabel.ABSENT for t in known) / len(known)
+        assert 0 < absent_share < 1
+        report = pipeline.uq_report(net, manifest, tmp_path, Split.VALIDATION, cfg)
+        sweep = next(l for l in report.splitlines() if l.startswith("# sweep\t0.00\t"))
+        assert sweep.split("\t")[-1] == f"{absent_share:.4f}"

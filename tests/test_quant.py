@@ -48,9 +48,13 @@ class TestQuantizeTensor:
             quantize_tensor(np.array([1.0, np.inf]))
 
     def test_symmetric_range(self):
-        q = quantize_tensor(np.linspace(-3, 3, 100))
+        w = np.linspace(-3, 3, 100)
+        q = quantize_tensor(w)
         assert q.zero_point == 0
         assert np.abs(q.values).max() <= 127
+        neg = quantize_tensor(-w)
+        np.testing.assert_array_equal(neg.values, -q.values)
+        assert neg.scale == q.scale
 
 
 def _calibration(n=32, seed=0):

@@ -191,6 +191,25 @@ def test_transposed_tensor_shape_rejected(dirs, kind, tmp_path):
         LOADERS[kind](_edit(dirs / kind, tmp_path / "d", transpose))
 
 
+@pytest.mark.parametrize("kind", LOADERS)
+def test_tensor_row_naming_a_missing_blob_rejected(dirs, kind, tmp_path):
+    # name and blob file still agree, so only the read itself can fail
+    def rename(lines):
+        first = next(l for l in lines if l.startswith("tensor\t")).split("\t")[1]
+        return [l.replace(f"\t{first}\t", "\tgone\t").replace(f"\t{first}.bin\t", "\tgone.bin\t") for l in lines]
+
+    with pytest.raises(ParseError, match="No such file"):
+        LOADERS[kind](_edit(dirs / kind, tmp_path / "d", rename))
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_manifest_that_is_not_utf8_rejected(dirs, kind, tmp_path):
+    d = _edit(dirs / kind, tmp_path / "d", lambda lines: lines)
+    (d / "manifest").write_bytes(b"\x80" + (d / "manifest").read_bytes())
+    with pytest.raises(ParseError, match="utf-8"):
+        LOADERS[kind](d)
+
+
 def test_float_manifest_with_int8_dtype_rejected(dirs, tmp_path):
     def int8(lines):
         return [("dtype\tint8" if l.startswith("dtype\t") else l) for l in lines]
@@ -227,7 +246,7 @@ ZERO_POINT_FIELDS = [("input_q", 2), ("act_q", 3)]
 
 @pytest.mark.parametrize(
     "prefix,column,value",
-    [(*field, v) for field in SCALE_FIELDS for v in ("nan", "inf", "0.0", "-1.0")]
+    [(*field, v) for field in SCALE_FIELDS for v in ("nan", "inf", "0.0", "-1.0", "1e+300")]
     + [(*field, v) for field in ZERO_POINT_FIELDS for v in ("999", "-129")],
 )
 def test_int8_scale_and_zero_point_out_of_range_rejected(dirs, prefix, column, value, tmp_path):
