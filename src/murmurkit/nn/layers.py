@@ -16,6 +16,16 @@ Dropout (when it dropped), MaxPool2x2 and ActivationTail return. ReLU works
 in place: it overwrites its input (in a Network, the conv output buffer)
 and returns it.
 
+A training backward writes into forward buffers that have no reader left,
+the memory-sharing rule of Chen et al. 2016 (arXiv:1604.06174, section 3)
+with no recomputation. After a backward, a conv's im2col buffer ``cols``
+holds its input-gradient columns, and a block tail's full-size activation
+(the dropout output, or the ReLU output when the dropout was inactive)
+holds the gradient the tail returns. So a forward cache serves one
+backward: a second Conv3x3 or ActivationTail backward without a forward in
+between raises StateError. col2im keeps its own padded buffer, so the
+input gradient a conv returns survives later forwards of that conv.
+
 Max pooling takes the max over the four stride-2 corner views of the input.
 Each window's gradient goes to its first corner, in window order (top-left,
 top-right, bottom-left, bottom-right), that equals the max: the element
@@ -226,20 +236,25 @@ class Conv3x3:
         if self._cache is None:
             raise StateError("conv backward without cached forward")
         cols, x_shape = self._cache
+        self._cache = None
         n, _, h, w = x_shape
         g = grad.reshape(n, self.out_ch, h * w)
-        # Batched GEMMs over strided views; copying the operands into one
-        # flat GEMM is slower here than letting BLAS walk the batch axis.
-        dw_n = self._ws.get("dw_n", (n, self.out_ch, self.in_ch * 9), g.dtype)
-        np.matmul(g, cols.transpose(0, 2, 1), out=dw_n)
-        self.w.grad += dw_n.sum(axis=0).reshape(self.w.value.shape)
+        # One dW GEMM per sample over the strided (H*W, 9*in) view, summed
+        # in sample order as a sum over a stack of them would be.
+        dw, term = self._ws.get("dw", (2, self.out_ch, self.in_ch * 9), g.dtype)
+        np.matmul(g[0], cols[0].T, out=dw)
+        for i in range(1, n):
+            np.matmul(g[i], cols[i].T, out=term)
+            dw += term
+        self.w.grad += dw.reshape(self.w.value.shape)
         self.b.grad += g.sum(axis=(0, 2))
         if not input_grad:
             return None
+        # The dW GEMMs were the last readers of cols: it takes the input
+        # gradient's columns.
         wm = self.w.value.reshape(self.out_ch, self.in_ch * 9)
-        dcols = self._ws.get("dcols", (n, self.in_ch * 9, h * w), g.dtype)
-        np.matmul(wm.T, g, out=dcols)
-        return _col2im3x3(dcols, x_shape, self._ws)
+        np.matmul(wm.T, g, out=cols)
+        return _col2im3x3(cols, x_shape, self._ws)
 
 
 class ReLU:
@@ -410,7 +425,9 @@ class ActivationTail:
     zeroed buffer): no sum's value depends on a zero's sign and +0 plus
     either zero is +0, so no parameter gradient changes. A dropout that was
     inactive (p = 0) passed the ReLU output on, so then the mask is read
-    from that output and nothing is scaled.
+    from that output and nothing is scaled. The input gradient is written
+    into the full-size activation once the mask has been read, and the
+    ReLU's cache is cleared, since that activation now holds a gradient.
     """
 
     def __init__(self, relu: ReLU, dropout: Dropout, pool: MaxPool2x2 | None = None):
@@ -421,22 +438,24 @@ class ActivationTail:
         if self.relu._out is None or (self.pool is not None and self.pool._cache is None):
             raise StateError("block tail backward without cached forward")
         if self.dropout._cache is None:
-            out, scale = self.relu._out, None
+            act, scale = self.relu._out, None
         else:
-            _, scale, out = self.dropout._cache
+            _, scale, act = self.dropout._cache
+        self.relu._out = None
+        out = act
         if self.pool is not None:
-            code, out, shape = self.pool._cache
+            code, out, _ = self.pool._cache
         live = self._ws.get("live", out.shape, np.bool_)
         np.greater(out, 0, out=live)
-        g = self._ws.get("g", grad.shape, grad.dtype)
+        # Nothing reads the full-size activation after the mask: it takes
+        # the input gradient.
+        g = act if self.pool is None else self._ws.get("g", grad.shape, grad.dtype)
         np.multiply(grad, live, out=g)
         if scale is not None:
             g *= scale
-        if self.pool is None:
-            return g
-        dx = self._ws.get("dx", shape, grad.dtype)
-        _route_to_winners(g, code, dx, self._ws.get("hit", code.shape, np.bool_))
-        return dx
+        if self.pool is not None:
+            _route_to_winners(g, code, act, self._ws.get("hit", code.shape, np.bool_))
+        return act
 
 
 # Bound at import: a layer class later swapped into this module (an oracle

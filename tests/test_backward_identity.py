@@ -184,6 +184,38 @@ def test_tail_backward_matches_oracle(active, pooled, make, shape, dtype):
         _same_bytes(tail.backward(grad), want)
 
 
+# --- one backward per forward ---------------------------------------------------
+# A backward leaves gradients in the buffers its forward cache names, so the
+# cache serves one backward.
+
+
+def test_second_conv_backward_without_forward_raises():
+    conv = L.Conv3x3(2, 3, rng=np.random.default_rng(0))
+    conv.forward(np.ones((1, 2, 5, 6), dtype=np.float32), True)
+    grad = np.ones((1, 3, 5, 6), dtype=np.float32)
+    conv.backward(grad)
+    with pytest.raises(StateError):
+        conv.backward(grad)
+
+
+def test_second_tail_backward_without_forward_raises():
+    tail = L.ActivationTail(L.ReLU(), L.Dropout(0.1), L.MaxPool2x2())
+    h = tail.relu.forward(np.ones((1, 2, 4, 6), dtype=np.float32), True)
+    h = tail.pool.forward(tail.dropout.forward(h, True, active=True, rng=np.random.default_rng(0)), True)
+    tail.backward(np.ones(h.shape, dtype=np.float32))
+    with pytest.raises(StateError):
+        tail.backward(np.ones(h.shape, dtype=np.float32))
+
+
+def test_second_network_backward_without_forward_raises():
+    net = build_model("light", seed=0)
+    x = np.random.default_rng(1).standard_normal((2, 1, 33, 124)).astype(np.float32)
+    net.forward(x, mode="train", rng=np.random.default_rng(2))
+    net.backward(np.array([0, 1]))
+    with pytest.raises(StateError):
+        net.backward(np.array([0, 1]))
+
+
 # --- whole training run ------------------------------------------------------------
 
 
