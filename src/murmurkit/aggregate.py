@@ -33,6 +33,7 @@ class LocationDecision:
     threshold_used: float
     label: MurmurLabel
     confident_ratio: float = 1.0
+    kept: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,8 @@ def vote_location_selective(
     When the confident-segment ratio is at least the policy threshold and
     some segment is confident, only confident segments vote at thr_hi.
     Otherwise every segment votes at the lowered thr_lo, so a location is
-    never silently dropped.
+    never silently dropped. ``kept`` holds the confident segments' indices,
+    also when the vote fell back.
     """
     if not results:
         raise EmptyLocationError("cannot vote over zero segments")
@@ -106,7 +108,9 @@ def vote_location_selective(
         voting, thr = labels[kept_idx], thr_hi
     else:
         voting, thr = labels, thr_lo
-    return replace(vote_location(voting, thr, location=location, rule=rule), confident_ratio=ratio)
+    return replace(
+        vote_location(voting, thr, location=location, rule=rule), confident_ratio=ratio, kept=tuple(kept_idx)
+    )
 
 
 def predict_patient(

@@ -449,7 +449,6 @@ def infer_patients(
                     location=lf.location,
                     rule=cfg.vote_rule,
                 )
-                kept = set(uq.select_confident(results, policy)[0])
                 for i, (start, r) in enumerate(zip(lf.start_s, results)):
                     uq_rows.append(
                         UqRow(
@@ -461,7 +460,7 @@ def infer_patients(
                             entropy=r.entropy,
                             coherence=r.coherence,
                             confidence=r.confidence,
-                            kept=i in kept,
+                            kept=i in decision.kept,
                         )
                     )
             else:

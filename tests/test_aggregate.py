@@ -17,7 +17,7 @@ from murmurkit.errors import (
     EmptyLocationError,
     EmptyPatientError,
 )
-from murmurkit.uq import ConfidencePolicy, McdResult
+from murmurkit.uq import ConfidencePolicy, McdResult, select_confident
 
 
 def _mcd(pred: int, confidence: float) -> McdResult:
@@ -108,6 +108,23 @@ class TestVoteLocationSelective:
         assert d.confident_ratio == 0.0
         assert (d.n_segments, d.n_present) == (3, 1)
         assert d.label is MurmurLabel.PRESENT  # 1/3 > 0.2
+
+    @pytest.mark.parametrize(
+        "confidences, fell_back",
+        [
+            ([0.9, 0.1, 0.95, 0.8, 0.85], False),
+            ([0.9, 0.1, 0.5, 0.2, 0.85], True),
+            ([0.1, 0.2, 0.3], True),
+        ],
+        ids=["confident", "fallback", "none-confident"],
+    )
+    def test_kept_equals_select_confident_indices(self, confidences, fell_back):
+        results = [_mcd(i % 2, c) for i, c in enumerate(confidences)]
+        policy = ConfidencePolicy()
+        d = vote_location_selective(results, policy)
+        assert (d.threshold_used == 0.20) is fell_back
+        assert d.kept == tuple(select_confident(results, policy)[0])
+        assert d.kept == tuple(i for i, c in enumerate(confidences) if c >= policy.cs_threshold)
 
     def test_policy_threshold_zero_equals_plain_vote(self):
         rng = np.random.default_rng(0)

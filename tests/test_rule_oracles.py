@@ -48,6 +48,7 @@ def oracle_vote_location_selective(results, policy, thr_hi=0.40, thr_lo=0.20, *,
         threshold_used=thr,
         label=MurmurLabel.PRESENT if present else MurmurLabel.ABSENT,
         confident_ratio=ratio,
+        kept=tuple(kept_idx),
     )
 
 
