@@ -49,3 +49,23 @@ def test_one_qforward_span_per_quantize_run(probe):
     for run in runs:
         under = [i for i in spans if run in probe.ancestors(i)]
         assert len(under) == 1
+
+
+@pytest.mark.parametrize("mode", ["train", "mcd"])
+def test_layer_probe_times_are_finite_and_positive(mode):
+    # In "train" mode every layer's own backward runs after each forward.
+    times = probes.layer_times("light", 2, 1, 11, mode)
+    values = list(times["fwd_ms"].values()) + (list(times["bwd_ms"].values()) if mode == "train" else [])
+    assert values
+    assert all(math.isfinite(v) and v > 0 for v in values), times
+
+
+def test_network_probe_times_are_finite_and_positive():
+    times = probes.network_times(11)
+    assert set(times) == {
+        "network.forward_train_ms",
+        "network.backward_ms",
+        "network.forward_eval_ms",
+        "network.forward_mcd_ms",
+    }
+    assert all(math.isfinite(v) and v > 0 for v in times.values()), times
