@@ -7,24 +7,39 @@ single GEMM.
 
 Hot layers keep per-thread workspace buffers: on a small host, repeatedly
 mallocing multi-megabyte temporaries costs more in page faults than the
-arithmetic itself. Buffers are keyed per layer object and reallocated when
-the batch shape changes, so results are identical with or without reuse.
-These arrays are workspace views that the same layer's next call
-overwrites: the forward outputs of Conv3x3, Dropout (when it drops) and
-MaxPool2x2, and the gradients that the backward passes of Conv3x3, ReLU,
-Dropout (when it dropped), MaxPool2x2 and ActivationTail return. ReLU works
-in place: it overwrites its input (in a Network, the conv output buffer)
-and returns it.
+arithmetic itself. Two kinds of buffer hold the work:
 
-A training backward writes into forward buffers that have no reader left,
-the memory-sharing rule of Chen et al. 2016 (arXiv:1604.06174, section 3)
-with no recomputation. After a backward, a conv's im2col buffer ``cols``
-holds its input-gradient columns, and a block tail's full-size activation
-(the dropout output, or the ReLU output when the dropout was inactive)
-holds the gradient the tail returns. So a forward cache serves one
-backward: a second Conv3x3 or ActivationTail backward without a forward in
-between raises StateError. col2im keeps its own padded buffer, so the
-input gradient a conv returns survives later forwards of that conv.
+- Per layer (``_Workspace``), keyed per layer object and reallocated when
+  the batch shape changes: what outlives a call. These are the forward
+  outputs of Conv3x3 and MaxPool2x2, and of Dropout when it does not work
+  in place; the dropout gate and the pool's winner code; and the
+  gradients that the backward passes of Conv3x3, ReLU, Dropout (when it
+  dropped), MaxPool2x2 and ActivationTail return. Each is a workspace
+  view that the same layer's next call overwrites.
+- Per network (``_Scratch``), one buffer that all convs of a network share
+  (``share_scratch``; a standalone conv owns its own): what lives only
+  inside one call. It holds a conv's padded input ``xp``, its im2col
+  columns ``cols``, its input-gradient columns and its weight-gradient sum
+  and per-sample term. It grows to the largest request and is viewed at
+  the requested shape, so a smaller batch reallocates nothing.
+
+Results are identical with or without reuse. ReLU works in place: it
+overwrites its input (in a Network, the conv output buffer) and returns
+it. In training, Dropout does the same with a writable input; a read-only
+one (MC dropout's broadcast rows) gets its workspace buffer.
+
+A conv caches its input, not its columns, and its backward rebuilds the
+columns from that input, the recompute half of Chen et al. 2016
+(arXiv:1604.06174, section 4); in-place activations are Rota Bulo et al.
+2018 (arXiv:1712.02616). A training backward also writes into forward
+buffers that have no reader left, the memory-sharing half (section 3): a
+block tail's full-size activation (the conv output that ReLU and Dropout
+overwrote) takes the gradient the tail returns. So a forward cache serves
+one backward: a second Conv3x3 or ActivationTail backward without a
+forward in between raises StateError. A forward outside training clears
+its layer's cache, so no stale cache keeps alive a buffer that the
+layer's workspace has replaced. A conv's input gradient goes to a buffer
+of its own, so it survives later forwards of that conv.
 
 Max pooling takes the max over the four stride-2 corner views of the input.
 Each window's gradient goes to its first corner, in window order (top-left,
@@ -54,6 +69,7 @@ import math
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigError, LabelError, ShapeError, StateError
 
@@ -80,39 +96,89 @@ class _Workspace:
         return buf
 
 
+class _Scratch:
+    """Per-thread transient buffer, shared by the convs of one network.
+
+    ``views`` lays each of its layouts out from the buffer's first byte, so
+    two layouts of one request overlap after their common head, and the
+    arrays of one request are overwritten by the next. The buffer grows to
+    the largest request and stays, and it lives as long as its owners.
+    """
+
+    def __init__(self):
+        self._tls = threading.local()
+
+    def views(self, *layouts: list[tuple]) -> list[list[np.ndarray]]:
+        """One list of arrays per layout, a list of (shape, dtype) pairs
+        whose arrays lie one after the other, each cache-line aligned."""
+        spans, size = [], 0
+        for layout in layouts:
+            span, end = [], 0
+            for shape, dtype in layout:
+                nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+                span.append((end, nbytes))
+                end += -(-nbytes // 64) * 64
+            spans.append(span)
+            size = max(size, end)
+        buf = getattr(self._tls, "buf", None)
+        if buf is None or buf.size < size:
+            self._tls.buf = None  # free the old buffer before the new one exists
+            buf = self._tls.buf = np.empty(size, dtype=np.uint8)
+        return [
+            [buf[lo : lo + n].view(dtype).reshape(shape) for (lo, n), (shape, dtype) in zip(span, layout)]
+            for span, layout in zip(spans, layouts)
+        ]
+
+
 # --- convolution ------------------------------------------------------------
 
 
-def _im2col3x3(x: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*9, H*W) patches with zero padding 1."""
+def _im2col3x3(
+    x: np.ndarray, xp: np.ndarray | None = None, cols: np.ndarray | None = None
+) -> np.ndarray:
+    """(N, C, H, W) -> (N, C*9, H*W) patches with zero padding 1, built
+    through the padded copy ``xp`` (N, C, H+2, W+2) into ``cols``; both are
+    allocated when not given."""
     n, c, h, w = x.shape
-    if ws is None:
-        xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
-        cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
-    else:
-        xp = ws.get("xp", (n, c, h + 2, w + 2), x.dtype)
-        xp[...] = 0
-        cols = ws.get("cols", (n, c, 9, h, w), x.dtype)
-    xp[:, :, 1 : h + 1, 1 : w + 1] = x
-    k = 0
-    for u in range(3):
-        for v in range(3):
-            cols[:, :, k] = xp[:, :, u : u + h, v : v + w]
-            k += 1
-    return cols.reshape(n, c * 9, h * w)
+    if xp is None:
+        xp = np.empty((n, c, h + 2, w + 2), dtype=x.dtype)
+        cols = np.empty((n, c * 9, h * w), dtype=x.dtype)
+    xp[:, :, 0] = 0
+    xp[:, :, -1] = 0
+    xp[:, :, 1:-1, 0] = 0
+    xp[:, :, 1:-1, -1] = 0
+    xp[:, :, 1:-1, 1:-1] = x
+    # Tap (u, v) of output (i, j) is xp[u + i, v + j]: one copy from a view
+    # with the tap axes ahead of the spatial ones. The view is only read,
+    # but it stays writable: numpy 2.4 leaks about 50 bytes per
+    # writeable=False view (tracemalloc).
+    sn, sc, sh, sw = xp.strides
+    taps = as_strided(xp, (n, c, 3, 3, h, w), (sn, sc, sh, sw, sh, sw))
+    np.copyto(cols.reshape(n, c, 3, 3, h, w), taps)
+    return cols
 
 
-def _col2im3x3(dcols: np.ndarray, shape: tuple[int, int, int, int], ws: _Workspace) -> np.ndarray:
-    n, c, h, w = shape
-    dxp = ws.get("dxp", (n, c, h + 2, w + 2), dcols.dtype)
-    dxp[...] = 0
-    d = dcols.reshape(n, c, 9, h, w)
-    k = 0
+def _tap_ranges(u: int, size: int) -> tuple[slice, slice]:
+    """The output rows (or columns) that tap offset ``u`` reaches inside the
+    image, and the rows of the tap's column plane they take: output row i
+    takes plane row i + 1 - u."""
+    return slice(max(u - 1, 0), size + min(u - 1, 0)), slice(max(1 - u, 0), size - max(u - 1, 0))
+
+
+def _col2im3x3(dcols: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Sum (N, C*9, H*W) columns back into ``dx`` (N, C, H, W), the adjoint
+    of ``_im2col3x3``. Each element starts at +0 and takes its taps in tap
+    order, as a zeroed padded buffer would; taps that fall on the padding
+    are skipped."""
+    n, c, h, w = dx.shape
+    d = dcols.reshape(n, c, 3, 3, h, w)
+    dx[...] = 0
     for u in range(3):
+        rows, tap_rows = _tap_ranges(u, h)
         for v in range(3):
-            dxp[:, :, u : u + h, v : v + w] += d[:, :, k]
-            k += 1
-    return dxp[:, :, 1 : h + 1, 1 : w + 1]
+            cols, tap_cols = _tap_ranges(v, w)
+            dx[:, :, rows, cols] += d[:, :, u, v, tap_rows, tap_cols]
+    return dx
 
 
 # --- 2x2 max pooling ----------------------------------------------------------
@@ -205,6 +271,16 @@ class Param:
 
 
 class Conv3x3:
+    """3x3 convolution, stride 1, zero padding 1, as one im2col GEMM.
+
+    Train mode caches the input, not its columns: the backward rebuilds the
+    columns from it in the scratch. That is safe because nothing writes a
+    conv's input until that conv's backward has run. The input is the
+    previous pool's output, the previous block's activation (``heavy``'s
+    unpooled blocks, whose tail writes its gradient there only after this
+    conv's backward), or the batch itself.
+    """
+
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator, dtype=np.float32):
         self.in_ch = in_ch
         self.out_ch = out_ch
@@ -213,21 +289,31 @@ class Conv3x3:
         self.b = Param("b", np.zeros(out_ch, dtype=dtype))
         self._cache = None
         self._ws = _Workspace()
+        self._scratch = _Scratch()  # a Network gives all its convs one (share_scratch)
 
     def params(self) -> list[Param]:
         return [self.w, self.b]
+
+    def _im2col(self, x: np.ndarray, *after) -> tuple[np.ndarray, list[np.ndarray]]:
+        """x's (N, C*9, H*W) columns in the scratch, and arrays of the given
+        (shape, dtype) laid out after them, over the padded copy of x that
+        is dead once the columns are built."""
+        n, c, h, w = x.shape
+        col, pad = ((n, c * 9, h * w), x.dtype), ((n, c, h + 2, w + 2), x.dtype)
+        (cols, xp), (_, *rest) = self._scratch.views([col, pad], [col, *after])
+        _im2col3x3(x, xp, cols)
+        return cols, rest
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_ch:
             raise ShapeError(f"conv expects {self.in_ch} channels, got {c}")
-        cols = _im2col3x3(x, self._ws)
+        cols, _ = self._im2col(x)
         wm = self.w.value.reshape(self.out_ch, self.in_ch * 9)
         out = self._ws.get("out", (n, self.out_ch, h * w), x.dtype)
         np.matmul(wm, cols, out=out)
         out += self.b.value[None, :, None]
-        if train:
-            self._cache = (cols, x.shape)
+        self._cache = x if train else None
         return out.reshape(n, self.out_ch, h, w)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -235,13 +321,14 @@ class Conv3x3:
         or None when ``input_grad`` is False (the network's first layer)."""
         if self._cache is None:
             raise StateError("conv backward without cached forward")
-        cols, x_shape = self._cache
+        x = self._cache
         self._cache = None
-        n, _, h, w = x_shape
+        n, _, h, w = x.shape
         g = grad.reshape(n, self.out_ch, h * w)
+        dw_shape = (self.out_ch, self.in_ch * 9)
+        cols, (dw, term) = self._im2col(x, (dw_shape, g.dtype), (dw_shape, g.dtype))
         # One dW GEMM per sample over the strided (H*W, 9*in) view, summed
         # in sample order as a sum over a stack of them would be.
-        dw, term = self._ws.get("dw", (2, self.out_ch, self.in_ch * 9), g.dtype)
         np.matmul(g[0], cols[0].T, out=dw)
         for i in range(1, n):
             np.matmul(g[i], cols[i].T, out=term)
@@ -254,7 +341,16 @@ class Conv3x3:
         # gradient's columns.
         wm = self.w.value.reshape(self.out_ch, self.in_ch * 9)
         np.matmul(wm.T, g, out=cols)
-        return _col2im3x3(cols, x_shape, self._ws)
+        return _col2im3x3(cols, self._ws.get("dx", x.shape, cols.dtype))
+
+
+def share_scratch(layers: list) -> None:
+    """Give the Conv3x3 layers of ``layers`` one scratch, which then lives
+    as long as they do."""
+    scratch = _Scratch()
+    for layer in layers:
+        if isinstance(layer, Conv3x3):
+            layer._scratch = scratch
 
 
 class ReLU:
@@ -267,8 +363,7 @@ class ReLU:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         np.maximum(x, 0, out=x)
-        if train:
-            self._out = x  # out > 0 exactly where x > 0
+        self._out = x if train else None  # out > 0 exactly where x > 0
         return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -342,19 +437,18 @@ class Dropout:
 
     def forward(self, x: np.ndarray, train: bool, *, active: bool, rng) -> np.ndarray:
         if not active or self.p == 0.0:
-            if train:
-                self._cache = None  # identity backward
+            self._cache = None  # identity backward
             return x
         gate = self._ws.get("gate", x.shape, np.bool_)
         _dropout_gate(rng, self.p, x.dtype != np.float64, gate.reshape(-1))
         scale = np.array(1.0 / (1.0 - self.p), dtype=x.dtype)
         # The gate is exactly 0 or 1, so (x * gate) * scale has the bytes of
-        # x * (gate * scale) without a separate mask pass.
-        out = self._ws.get("out", x.shape, x.dtype)
+        # x * (gate * scale) without a separate mask pass. In training the
+        # output overwrites a writable input, as ReLU does.
+        out = x if train and x.flags.writeable else self._ws.get("out", x.shape, x.dtype)
         np.multiply(x, gate, out=out)
         out *= scale
-        if train:
-            self._cache = (gate, scale, out)
+        self._cache = (gate, scale, out) if train else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -379,6 +473,7 @@ class MaxPool2x2:
         n, c, h, w = x.shape
         out = self._ws.get("out", (n, c, h // 2, w // 2), x.dtype)
         max_pool_2x2(x, out)
+        self._cache = None
         if train:
             # Winner code: index of the first corner equal to the max, i.e.
             # 0 if c00 == max else 1 + (c01 != max) * (1 + (c10 != max)).
@@ -491,8 +586,7 @@ class GlobalAvgPool:
         return []
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if train:
-            self._shape = x.shape
+        self._shape = x.shape if train else None
         return global_avg_pool(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -520,8 +614,7 @@ class Linear:
             raise ShapeError(
                 f"linear expects {self.in_features} features, got {flat.shape[1]}"
             )
-        if train:
-            self._cache = (flat, x.shape)
+        self._cache = (flat, x.shape) if train else None
         return flat @ self.w.value.T + self.b.value[None, :]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

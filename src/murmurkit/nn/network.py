@@ -110,6 +110,7 @@ class Network:
             else:  # pragma: no cover
                 raise ConfigError(f"unknown layer kind {spec.kind}")
         self._steps = L.backward_plan(self.layers)
+        L.share_scratch(self.layers)
         self._probs: np.ndarray | None = None
         self._train_cached = False
 

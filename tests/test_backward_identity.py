@@ -1,15 +1,18 @@
 """Byte identity of the conv and block-tail backward kernels against oracles.
 
 The oracles below are the allocate-per-call formulation of the training
-backward: the conv's weight gradient sums a batched ``(N, out, 9 * in)``
-GEMM over the batch, its input-gradient columns go to a separate array, and
-the block tail writes its input gradient to a fresh array. The layer
-kernels must reproduce their input and parameter gradients bit for bit, in
-float32 and float64, at batch 1 and 32, on odd H and W, behind a pool and
-without one, with the dropout active and inactive, and across repeated
-calls on one layer object (which share workspaces). The oracles write
-nothing the forward pass left behind, so each case runs its oracle first
-and the kernel second on the same forward caches.
+backward: the conv rebuilds its columns from its cached input with a
+zero-padded im2col of its own, its weight gradient sums a batched
+``(N, out, 9 * in)`` GEMM over the batch, its input-gradient columns go to
+a separate array that a padded col2im folds back, and the block tail writes
+its input gradient to a fresh array. The layer kernels must reproduce their
+input and parameter gradients bit for bit, in float32 and float64, at batch
+1 and 32, on odd H and W, on H = 1 and W = 2 (where col2im's in-bounds tap
+ranges are empty or one wide), behind a pool and without one, with the
+dropout active and inactive, and across repeated calls on one layer object
+(which share workspaces). The oracles write nothing the forward pass left behind, so
+each case runs its oracle first and the kernel second on the same forward
+caches.
 """
 
 import numpy as np
@@ -23,6 +26,19 @@ DTYPES = (np.float32, np.float64)
 
 
 # --- oracles -------------------------------------------------------------------
+
+
+def oracle_im2col3x3(x):
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1 : h + 1, 1 : w + 1] = x
+    cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
+    k = 0
+    for u in range(3):
+        for v in range(3):
+            cols[:, :, k] = xp[:, :, u : u + h, v : v + w]
+            k += 1
+    return cols.reshape(n, c * 9, h * w)
 
 
 def oracle_col2im3x3(dcols, shape):
@@ -40,8 +56,10 @@ def oracle_col2im3x3(dcols, shape):
 def oracle_conv_backward(self, grad, input_grad=True):
     if self._cache is None:
         raise StateError("conv backward without cached forward")
-    cols, x_shape = self._cache
+    x = self._cache
+    x_shape = x.shape
     n, _, h, w = x_shape
+    cols = oracle_im2col3x3(x)
     g = grad.reshape(n, self.out_ch, h * w)
     dw_n = np.matmul(g, cols.transpose(0, 2, 1))
     self.w.grad += dw_n.sum(axis=0).reshape(self.w.value.shape)
@@ -93,12 +111,17 @@ def _same_bytes(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-# (batch, in_ch, out_ch, H, W): batch 1 and 32, even and odd H and W.
+# (batch, in_ch, out_ch, H, W): batch 1 and 32, even and odd H and W, H = 1
+# (the outer row taps reach no image row) and W = 2 (each outer column tap
+# reaches one image column).
 CONV_SHAPES = {
     "b1": (1, 3, 4, 8, 10),
     "b1-odd": (1, 2, 5, 7, 9),
     "b32": (32, 3, 8, 6, 10),
     "b32-odd": (32, 4, 6, 9, 13),
+    "h1": (4, 3, 4, 1, 9),
+    "w2": (4, 3, 4, 7, 2),
+    "b32-h1-w2": (32, 2, 5, 1, 2),
 }
 
 
