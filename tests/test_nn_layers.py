@@ -249,6 +249,66 @@ class TestDropout:
         np.testing.assert_allclose(dx, np.where(out > 0, 2.0, 0.0))
 
 
+def _read_only(x):
+    x = x.copy()
+    x.flags.writeable = False
+    return x
+
+
+def _signed_zeros(shape, dtype, seed):
+    """Exact zeros of both signs among negative and positive values."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    x[:, 0] = np.where(rng.random(x[:, 0].shape) < 0.5, -0.0, 0.0)
+    return x.astype(dtype)
+
+
+class TestDropoutInPlace:
+    """In training Dropout writes its output over a writable input, as ReLU
+    does, and a read-only input gets a buffer of the layer's own."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_forward_overwrites_a_writable_input(self, dtype):
+        x = _signed_zeros((2, 3, 5, 7), dtype, 0)
+        fresh = dropout(_read_only(x), p=0.3, mode="train", rng=np.random.default_rng(1))
+        got = dropout(x, p=0.3, mode="train", rng=np.random.default_rng(1))
+        assert got is x
+        assert got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "mcd"])
+    def test_read_only_broadcast_input_is_never_written(self, mode):
+        row = _signed_zeros((1, 4, 6, 5), np.float32, 2)
+        x = np.broadcast_to(row, (10, *row.shape[1:]))
+        before = row.tobytes()
+        out = dropout(x, p=0.3, mode=mode, rng=np.random.default_rng(3))
+        assert out is not x and not np.shares_memory(out, row)
+        assert row.tobytes() == before
+
+    def test_mcd_forward_leaves_a_writable_input_alone(self):
+        x = np.ones((3, 4), dtype=np.float32)
+        out = dropout(x, p=0.5, mode="mcd", rng=np.random.default_rng(4))
+        assert not np.shares_memory(out, x) and (x == 1).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_relu_dropout_chain_backward_matches_a_fresh_buffer_forward(self, p, dtype):
+        """After an in-place forward the ReLU's cached output holds the
+        dropout output, which is > 0 on fewer elements; the dropout gradient
+        is a signed zero on exactly those, so the chain gives the same bytes."""
+        x = _signed_zeros((2, 3, 6, 5), dtype, 5)
+        grad = np.random.default_rng(6).standard_normal(x.shape).astype(dtype)
+        grads = []
+        for in_place in (True, False):
+            relu, drop = L.ReLU(), L.Dropout(p)
+            h = relu.forward(x.copy(), True)
+            if not in_place:
+                h.flags.writeable = False
+            out = drop.forward(h, True, active=True, rng=np.random.default_rng(7))
+            assert (out is h) == in_place
+            grads.append(relu.backward(drop.backward(grad)).tobytes())
+        assert grads[0] == grads[1]
+
+
 class TestLinearSoftmaxCrossEntropy:
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])

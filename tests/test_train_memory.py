@@ -1,12 +1,15 @@
-"""A training backward writes into the forward buffers it has finished
-with, so it adds little memory on top of what the forward pass holds.
+"""A train step holds little beyond the activations its backward needs.
 
-A conv's weight gradient is summed one sample at a time into one buffer,
-its input-gradient columns go into its im2col buffer, and each block tail
-writes its input gradient into the block's full-size activation. What is
-left for the backward to allocate is col2im's padded buffer per conv, the
-tails' pooled-size masks and gradients, and per-layer scratch the size of
-the weights.
+A conv caches its input, not its im2col columns. Its padded input, its
+columns, its input-gradient columns and its weight-gradient sum and
+per-sample term all live in one scratch that every conv of the network
+shares; the backward rebuilds the columns there. col2im adds the taps
+straight into a per-conv (N, C, H, W) gradient, with no padded buffer. In
+training, Dropout writes its output over the ReLU output, which is the conv
+output, and each block tail writes its input gradient into that same
+activation. What is left for the backward to allocate is the per-conv input
+gradients, the tails' pooled-size masks and gradients, and any growth of
+the scratch.
 """
 
 import tracemalloc
@@ -15,18 +18,22 @@ import numpy as np
 import pytest
 
 from murmurkit.nn import build_model
+from murmurkit.nn import layers as L
 
 SHAPE = (1, 33, 124)
 MiB = 2**20
+
+
+def _batch(batch, seed=1):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((batch, *SHAPE)).astype(np.float32), rng.integers(0, 2, batch)
 
 
 def _first_step(variant, batch):
     """Bytes a fresh network's train forward holds, and the peak the
     backward that follows adds on top of them (tracemalloc)."""
     net = build_model(variant, seed=0)
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((batch, *SHAPE)).astype(np.float32)
-    y = rng.integers(0, 2, batch)
+    x, y = _batch(batch)
     tracemalloc.start()
     try:
         net.forward(x, mode="train", rng=np.random.default_rng(2))
@@ -38,12 +45,62 @@ def _first_step(variant, batch):
         tracemalloc.stop()
 
 
+# (variant, batch, bound on what the forward holds). With a conv's own xp
+# and cols kept from the forward to the backward and a dropout output of its
+# own, these forwards held 70.2, 37.7 and 61.3 MiB; now 41.3, 21.6 and 30.3.
+@pytest.mark.parametrize(
+    "variant, batch, bound_mib", [("light", 32, 46), ("baseline", 8, 26), ("heavy", 2, 36)]
+)
+def test_forward_holds_little_beyond_its_activations(variant, batch, bound_mib):
+    held, _ = _first_step(variant, batch)
+    assert held < bound_mib * MiB, held / MiB
+
+
 # (variant, batch, bound on what the backward adds). Writing into fresh
 # buffers instead, the backward adds 51 MiB (light), 41 MiB (baseline) and
-# 80 MiB (heavy) over forwards that hold 70, 38 and 61 MiB.
+# 80 MiB (heavy).
 @pytest.mark.parametrize(
     "variant, batch, bound_mib", [("light", 32, 16), ("baseline", 8, 16), ("heavy", 2, 48)]
 )
 def test_backward_adds_little_over_the_forward(variant, batch, bound_mib):
     held, added = _first_step(variant, batch)
     assert added < bound_mib * MiB, (held / MiB, added / MiB)
+
+
+def _scratch_buffers(net):
+    convs = [layer for layer in net.layers if isinstance(layer, L.Conv3x3)]
+    return {id(conv._scratch): conv._scratch._tls.buf for conv in convs}
+
+
+def _traced_step(net, x, y):
+    tracemalloc.reset_peak()
+    net.forward(x, mode="train", rng=np.random.default_rng(2))
+    net.backward(y)
+    return tracemalloc.get_traced_memory()[1]
+
+
+def test_small_eval_between_train_steps_keeps_the_scratch():
+    """The shared scratch grows to the largest request and is viewed at the
+    requested shape, so a 1-row eval forward reallocates nothing in it, and
+    an eval forward drops the layers' train caches, so the next train step
+    holds no stale activation beside its new one. A fresh network's first
+    step peaks lower than a warm one (its backward's own buffers do not
+    exist yet during its forward), so a warm step is the reference."""
+    net = build_model("light", seed=0)
+    x, y = _batch(32)
+    tracemalloc.start()
+    try:
+        _traced_step(net, x, y)
+        first = _traced_step(net, x, y)
+        scratch = _scratch_buffers(net)
+        assert len(scratch) == 1  # every conv shares one scratch
+        net.forward(x[:1], mode="eval")
+        assert _scratch_buffers(net).keys() == scratch.keys()
+        assert all(buf is scratch[k] for k, buf in _scratch_buffers(net).items())
+        second = _traced_step(net, x, y)
+        assert all(buf is scratch[k] for k, buf in _scratch_buffers(net).items())
+    finally:
+        tracemalloc.stop()
+    # Python objects alone move a step's peak by about 1 KiB from step to
+    # step; the smallest buffer that an eval could leave doubled is 1 MiB.
+    assert second <= first + 64 * 2**10, (first / MiB, second / MiB)
