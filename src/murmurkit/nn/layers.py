@@ -5,62 +5,16 @@ pooling, where linear layers flatten to (N, C). Convolutions are 3x3 with
 stride 1 and zero padding 1, implemented via im2col so the inner loop is a
 single GEMM.
 
-Hot layers keep per-thread workspace buffers: on a small host, repeatedly
-mallocing multi-megabyte temporaries costs more in page faults than the
-arithmetic itself. Two kinds of buffer hold the work:
-
-- Per layer (``_Workspace``), keyed per layer object and reallocated when
-  the batch shape changes: what outlives a call. These are the forward
-  outputs of Conv3x3 and MaxPool2x2, and of Dropout when it does not work
-  in place; the dropout gate and the pool's winner code; and the
-  gradients that the backward passes of Conv3x3, ReLU, Dropout (when it
-  dropped), MaxPool2x2 and ActivationTail return. Each is a workspace
-  view that the same layer's next call overwrites.
-- Per network (``_Scratch``), one buffer that all convs of a network share
-  (``share_scratch``; a standalone conv owns its own): what lives only
-  inside one call. It holds a conv's padded input ``xp``, its im2col
-  columns ``cols``, its input-gradient columns and its weight-gradient sum
-  and per-sample term. It grows to the largest request and is viewed at
-  the requested shape, so a smaller batch reallocates nothing.
-
-Results are identical with or without reuse. ReLU works in place: it
-overwrites its input (in a Network, the conv output buffer) and returns
-it. In training, Dropout does the same with a writable input; a read-only
-one (MC dropout's broadcast rows) gets its workspace buffer.
-
-A conv caches its input, not its columns, and its backward rebuilds the
-columns from that input, the recompute half of Chen et al. 2016
-(arXiv:1604.06174, section 4); in-place activations are Rota Bulo et al.
-2018 (arXiv:1712.02616). A training backward also writes into forward
-buffers that have no reader left, the memory-sharing half (section 3): a
-block tail's full-size activation (the conv output that ReLU and Dropout
-overwrote) takes the gradient the tail returns. So a forward cache serves
-one backward: a second Conv3x3 or ActivationTail backward without a
-forward in between raises StateError. A forward outside training clears
-its layer's cache, so no stale cache keeps alive a buffer that the
-layer's workspace has replaced. A conv's input gradient goes to a buffer
-of its own, so it survives later forwards of that conv.
-
-Max pooling takes the max over the four stride-2 corner views of the input.
-Each window's gradient goes to its first corner, in window order (top-left,
-top-right, bottom-left, bottom-right), that equals the max: the element
-``argmax`` over the window picks. The forward value is that same corner's,
-so even a +0/-0 tie matches it. For finite values the kernels match, byte
-for byte, the gather/scatter and allocate-per-call formulation kept as
-oracles in tests/test_kernel_identity.py.
-
-A network's backward pass runs each ReLU -> Dropout (-> MaxPool2x2) tail as
-one ActivationTail (``backward_plan``), which reads its mask from the
-tail's output (``pooled > 0`` behind a pool) and gives the parameter
-gradients of the per-layer chain. The per-layer backward methods stay, for
-stacks without that pattern and as the reference.
-
-Dropout keeps an element where the generator's next uniform draw (float64
-for float64 inputs, float32 otherwise) is >= p, exactly as comparing
-``rng.random(size, dtype)`` with p would, but it reads each decision from
-PCG64's raw 64-bit words instead of building the floats; the generator
-then stands where the float draw would leave it (``_dropout_gate``). Other
-bit generators are refused, since their floats come from other bits.
+Hot layers take their buffers from a ``_Scratch``: on a small host,
+repeatedly mallocing multi-megabyte temporaries costs more in page faults
+than the arithmetic itself. Each layer owns one for what outlives a call:
+its forward output, the dropout gate and the pool's winner code that its
+backward reads, and the gradient its backward returns, each overwritten by
+the layer's next request for that name. The convs of a network share one
+more for what lives only inside one call (``share_scratch``). ReLU, and
+Dropout in training, write over their input instead (in-place activations,
+Rota Bulo et al. 2018, arXiv:1712.02616). Results are identical with or
+without reuse.
 """
 
 from __future__ import annotations
@@ -79,38 +33,29 @@ def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, dt
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class _Workspace:
-    """Per-thread, shape-checked scratch buffers."""
-
-    def __init__(self):
-        self._tls = threading.local()
-
-    def get(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        store = getattr(self._tls, "buffers", None)
-        if store is None:
-            store = self._tls.buffers = {}
-        buf = store.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype=dtype)
-            store[name] = buf
-        return buf
-
-
 class _Scratch:
-    """Per-thread transient buffer, shared by the convs of one network.
+    """Per-thread buffers, one flat byte buffer per name, handed out as
+    views at the requested shape and dtype.
 
-    ``views`` lays each of its layouts out from the buffer's first byte, so
-    two layouts of one request overlap after their common head, and the
-    arrays of one request are overwritten by the next. The buffer grows to
-    the largest request and stays, and it lives as long as its owners.
+    A buffer grows to the largest request for its name, freeing the old one
+    before the larger one exists, and never shrinks, so a smaller request
+    of any shape or dtype (a 1-row eval between train steps, an MC
+    location's eval pass beside its n-row passes) reallocates nothing. A
+    request's arrays are overwritten by the next request for the same name;
+    two names never share memory.
     """
 
     def __init__(self):
         self._tls = threading.local()
 
-    def views(self, *layouts: list[tuple]) -> list[list[np.ndarray]]:
+    def get(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return self.views([(shape, dtype)], name=name)[0][0]
+
+    def views(self, *layouts: list[tuple], name: str = "") -> list[list[np.ndarray]]:
         """One list of arrays per layout, a list of (shape, dtype) pairs
-        whose arrays lie one after the other, each cache-line aligned."""
+        whose arrays lie one after the other, each cache-line aligned. Every
+        layout starts at the buffer's first byte, so two layouts of one
+        request overlap after their common head."""
         spans, size = [], 0
         for layout in layouts:
             span, end = [], 0
@@ -120,10 +65,13 @@ class _Scratch:
                 end += -(-nbytes // 64) * 64
             spans.append(span)
             size = max(size, end)
-        buf = getattr(self._tls, "buf", None)
+        bufs = getattr(self._tls, "bufs", None)
+        if bufs is None:
+            bufs = self._tls.bufs = {}
+        buf = bufs.get(name)
         if buf is None or buf.size < size:
-            self._tls.buf = None  # free the old buffer before the new one exists
-            buf = self._tls.buf = np.empty(size, dtype=np.uint8)
+            buf = bufs[name] = None  # free the old buffer before the new one exists
+            buf = bufs[name] = np.empty(size, dtype=np.uint8)
         return [
             [buf[lo : lo + n].view(dtype).reshape(shape) for (lo, n), (shape, dtype) in zip(span, layout)]
             for span, layout in zip(spans, layouts)
@@ -274,7 +222,8 @@ class Conv3x3:
     """3x3 convolution, stride 1, zero padding 1, as one im2col GEMM.
 
     Train mode caches the input, not its columns: the backward rebuilds the
-    columns from it in the scratch. That is safe because nothing writes a
+    columns from it in the shared scratch, the recompute half of Chen et al.
+    2016 (arXiv:1604.06174, section 4). That is safe because nothing writes a
     conv's input until that conv's backward has run. The input is the
     previous pool's output, the previous block's activation (``heavy``'s
     unpooled blocks, whose tail writes its gradient there only after this
@@ -288,7 +237,7 @@ class Conv3x3:
         self.w = Param("w", w)
         self.b = Param("b", np.zeros(out_ch, dtype=dtype))
         self._cache = None
-        self._ws = _Workspace()
+        self._ws = _Scratch()
         self._scratch = _Scratch()  # a Network gives all its convs one (share_scratch)
 
     def params(self) -> list[Param]:
@@ -356,7 +305,7 @@ def share_scratch(layers: list) -> None:
 class ReLU:
     def __init__(self):
         self._out = None
-        self._ws = _Workspace()
+        self._ws = _Scratch()
 
     def params(self) -> list[Param]:
         return []
@@ -430,7 +379,7 @@ class Dropout:
             raise ConfigError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
         self._cache = None
-        self._ws = _Workspace()
+        self._ws = _Scratch()
 
     def params(self) -> list[Param]:
         return []
@@ -464,7 +413,7 @@ class Dropout:
 class MaxPool2x2:
     def __init__(self):
         self._cache = None
-        self._ws = _Workspace()
+        self._ws = _Scratch()
 
     def params(self) -> list[Param]:
         return []
@@ -475,7 +424,10 @@ class MaxPool2x2:
         max_pool_2x2(x, out)
         self._cache = None
         if train:
-            # Winner code: index of the first corner equal to the max, i.e.
+            # Winner code: index of the first corner equal to the max, the
+            # one argmax over the window picks and whose value the forward
+            # returns, so even a +0/-0 tie matches; for finite values this
+            # is byte for byte the oracle in tests/test_kernel_identity.py.
             # 0 if c00 == max else 1 + (c01 != max) * (1 + (c10 != max)).
             c00, c01, c10, _ = _corner_views(x)
             code = self._ws.get("code", out.shape, np.uint8)
@@ -521,13 +473,14 @@ class ActivationTail:
     either zero is +0, so no parameter gradient changes. A dropout that was
     inactive (p = 0) passed the ReLU output on, so then the mask is read
     from that output and nothing is scaled. The input gradient is written
-    into the full-size activation once the mask has been read, and the
-    ReLU's cache is cleared, since that activation now holds a gradient.
+    into the full-size activation once the mask has been read (the
+    memory-sharing half of Chen et al. 2016, section 3), and the ReLU's
+    cache is cleared, since that activation now holds a gradient.
     """
 
     def __init__(self, relu: ReLU, dropout: Dropout, pool: MaxPool2x2 | None = None):
         self.relu, self.dropout, self.pool = relu, dropout, pool
-        self._ws = _Workspace()
+        self._ws = _Scratch()
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self.relu._out is None or (self.pool is not None and self.pool._cache is None):
@@ -562,7 +515,8 @@ def backward_plan(layers: list) -> list:
     """The objects whose ``backward`` a backward pass calls, in forward
     order: ``layers`` without None entries, each ReLU -> Dropout
     (-> MaxPool2x2) run of this module's classes fused into one
-    ActivationTail."""
+    ActivationTail. The per-layer backward methods stay, for stacks without
+    that pattern and as the reference."""
     relu, dropout, pool = _TAIL_KINDS
     steps, i = [], 0
     while i < len(layers):
@@ -593,7 +547,7 @@ class GlobalAvgPool:
         if self._shape is None:
             raise StateError("global_avg_pool backward without cached forward")
         n, c, h, w = self._shape
-        return np.broadcast_to(grad / (h * w), (n, c, h, w)).astype(grad.dtype)
+        return np.broadcast_to(grad / (h * w), (n, c, h, w))
 
 
 class Linear:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError, NumericError, ParseError
+from .errors import CalibrationError, ConfigError, NumericError, ParseError, ShapeError
 from .nn.layers import _im2col3x3, max_pool_2x2, softmax
 from .nn.network import (
     LayerKind,
@@ -229,6 +229,9 @@ def qforward(qnet: QNetwork, x: np.ndarray) -> np.ndarray:
     (1, F, T) or (N, 1, F, T); inputs run one at a time (module docstring).
     """
     x = np.asarray(x, dtype=np.float32)
+    in_ch = qnet.specs[0].in_ch
+    if x.ndim not in (3, 4) or x.shape[-3] != in_ch:
+        raise ShapeError(f"expected ({in_ch}, F, T) or (N, {in_ch}, F, T), got shape {x.shape}")
     if x.ndim == 3:
         return _qforward_one(qnet, x)
     return np.array([_qforward_one(qnet, xi) for xi in x]).reshape(len(x), qnet.specs[-2].out_ch)

@@ -130,7 +130,8 @@ def test_mcd_predict_batch_matches_oracle(variant, dtype, segments, n):
 
 @pytest.mark.parametrize("entropy_mode", ["entropy_of_mean", "mean_of_entropies"])
 def test_mcd_predict_batch_calls_in_a_row_match_oracle(entropy_mode):
-    # Stacks of different sizes on one network reuse and resize its workspaces.
+    # Stacks of different sizes on one network reuse its buffers, viewed at
+    # each stack's shape.
     net = _net("light", np.float32)
     for segments, seed in ((5, 1), (7, 2), (1, 3), (5, 4)):
         inputs = _stack(segments, seed)

@@ -5,6 +5,9 @@ differences at step 1e-3 in float64 are exact to rounding; kinked layers
 (ReLU, maxpool) are checked on inputs with a safe margin around the kink.
 """
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -351,6 +354,57 @@ class TestLinearSoftmaxCrossEntropy:
         x = rng.standard_normal((3, 6))
         _check_input_grad(layer, x)
         _check_param_grads(layer, x)
+
+
+class TestScratch:
+    @staticmethod
+    def _address(a):
+        return a.__array_interface__["data"][0]
+
+    def test_smaller_request_reuses_the_memory(self):
+        s = L._Scratch()
+        a = s.get("x", (4, 8), np.float32)
+        b = s.get("x", (2, 3), np.float32)
+        assert b.shape == (2, 3) and self._address(b) == self._address(a)
+
+    def test_larger_request_grows_and_frees_the_old_buffer_first(self):
+        s = L._Scratch()
+        tracemalloc.start()
+        try:
+            s.get("x", (2**20,), np.uint8)
+            tracemalloc.reset_peak()
+            big = s.get("x", (2, 2**20), np.uint8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert big.shape == (2, 2**20)
+        assert peak < 2.5 * 2**20, peak  # the 1 MiB buffer was gone before the 2 MiB one came
+        assert self._address(s.get("x", (2**20,), np.uint8)) == self._address(big)
+
+    def test_two_names_never_alias(self):
+        s = L._Scratch()
+        a = s.get("a", (64,), np.float64)
+        b = s.get("b", (64,), np.float64)
+        assert not np.shares_memory(a, b)
+
+    def test_dtype_change_views_the_same_bytes(self):
+        s = L._Scratch()
+        f = s.get("x", (4,), np.float32)
+        f[...] = [1.0, -2.0, 0.5, 3.0]
+        u = s.get("x", (16,), np.uint8)
+        assert self._address(u) == self._address(f)
+        assert u.tobytes() == f.tobytes()
+
+    def test_threads_get_separate_buffers(self):
+        s = L._Scratch()
+        mine = s.get("x", (32,), np.float32)
+        theirs = []
+        t = threading.Thread(target=lambda: theirs.append(s.get("x", (32,), np.float32)))
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert not np.shares_memory(mine, theirs[0])
+        assert self._address(s.get("x", (32,), np.float32)) == self._address(mine)
 
 
 class TestReLU:

@@ -213,7 +213,8 @@ class TestStem:
         assert net.forward(h, mode="eval", start=start).tobytes() == want.tobytes()
 
     def test_stem_invalidates_a_cached_train_pass(self):
-        # The stem overwrites the first conv's cached im2col workspace.
+        # The stem's eval pass drops the first conv's cached input, and the
+        # network marks its train pass stale.
         net = build_model("light", seed=0)
         x = np.zeros((2, 1, 33, 124), dtype=np.float32)
         net.forward(x, mode="train", rng=np.random.default_rng(0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from murmurkit import resources
-from murmurkit.errors import CalibrationError, ConfigError, NumericError, ParseError
+from murmurkit.errors import CalibrationError, ConfigError, NumericError, ParseError, ShapeError
 from murmurkit.nn import LayerKind, LayerSpec, build_model
 from murmurkit.quant import (
     QTensor,
@@ -161,6 +161,12 @@ class TestQForward:
         assert probs.shape == (6, 2)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0)
+
+    @pytest.mark.parametrize("shape", [(33, 124), (2, 1, 1, 33, 124), (2, 2, 33, 124), (2, 33, 124)])
+    def test_bad_input_shape_raises_shape_error(self, light_pair, shape):
+        _, qnet = light_pair
+        with pytest.raises(ShapeError):
+            qforward(qnet, np.zeros(shape, dtype=np.float32))
 
     def test_dequantized_float_forward_agrees(self):
         # Load the dequantized weights back into a float network: class

@@ -9,7 +9,9 @@ training, Dropout writes its output over the ReLU output, which is the conv
 output, and each block tail writes its input gradient into that same
 activation. What is left for the backward to allocate is the per-conv input
 gradients, the tails' pooled-size masks and gradients, and any growth of
-the scratch.
+the scratch. Every buffer grows to its largest request and stays, so a
+smaller batch between two larger ones (an eval between train steps, an MC
+location's eval pass between its n-row passes) reallocates nothing.
 """
 
 import tracemalloc
@@ -19,6 +21,7 @@ import pytest
 
 from murmurkit.nn import build_model
 from murmurkit.nn import layers as L
+from murmurkit.uq import mcd_predict_batch
 
 SHAPE = (1, 33, 124)
 MiB = 2**20
@@ -68,8 +71,15 @@ def test_backward_adds_little_over_the_forward(variant, batch, bound_mib):
 
 
 def _scratch_buffers(net):
-    convs = [layer for layer in net.layers if isinstance(layer, L.Conv3x3)]
-    return {id(conv._scratch): conv._scratch._tls.buf for conv in convs}
+    """Every buffer of the network's scratches, keyed by scratch and name:
+    the one its convs share, and each layer's and each fused tail's own."""
+    owners = [layer for layer in net.layers if layer is not None] + net._steps
+    scratches = [getattr(o, attr) for o in owners for attr in ("_ws", "_scratch") if hasattr(o, attr)]
+    return {
+        (id(s), name): buf
+        for s in scratches
+        for name, buf in getattr(s._tls, "bufs", {}).items()
+    }
 
 
 def _traced_step(net, x, y):
@@ -80,27 +90,52 @@ def _traced_step(net, x, y):
 
 
 def test_small_eval_between_train_steps_keeps_the_scratch():
-    """The shared scratch grows to the largest request and is viewed at the
-    requested shape, so a 1-row eval forward reallocates nothing in it, and
-    an eval forward drops the layers' train caches, so the next train step
+    """Every buffer grows to its largest request and is viewed at the
+    requested shape, so a 1-row eval forward reallocates nothing, and an
+    eval forward drops the layers' train caches, so the next train step
     holds no stale activation beside its new one. A fresh network's first
     step peaks lower than a warm one (its backward's own buffers do not
     exist yet during its forward), so a warm step is the reference."""
     net = build_model("light", seed=0)
     x, y = _batch(32)
+    convs = [layer for layer in net.layers if isinstance(layer, L.Conv3x3)]
+    assert len({id(conv._scratch) for conv in convs}) == 1  # every conv shares one scratch
     tracemalloc.start()
     try:
         _traced_step(net, x, y)
         first = _traced_step(net, x, y)
-        scratch = _scratch_buffers(net)
-        assert len(scratch) == 1  # every conv shares one scratch
+        buffers = _scratch_buffers(net)
+        # the shared conv scratch, conv and pool outputs, gates, winner codes, tail masks
+        assert {name for _, name in buffers} >= {"", "out", "gate", "code", "live", "dx"}
         net.forward(x[:1], mode="eval")
-        assert _scratch_buffers(net).keys() == scratch.keys()
-        assert all(buf is scratch[k] for k, buf in _scratch_buffers(net).items())
+        assert _scratch_buffers(net).keys() == buffers.keys()
+        assert all(buf is buffers[k] for k, buf in _scratch_buffers(net).items())
+        held = tracemalloc.get_traced_memory()[0]
         second = _traced_step(net, x, y)
-        assert all(buf is scratch[k] for k, buf in _scratch_buffers(net).items())
+        assert all(buf is buffers[k] for k, buf in _scratch_buffers(net).items())
     finally:
         tracemalloc.stop()
     # Python objects alone move a step's peak by about 1 KiB from step to
     # step; the smallest buffer that an eval could leave doubled is 1 MiB.
     assert second <= first + 64 * 2**10, (first / MiB, second / MiB)
+    # Reallocating the layers' buffers after the eval took 18.2 MiB.
+    assert second - held < MiB, (second - held) / MiB
+
+
+def test_warm_mc_location_reallocates_nothing():
+    """A location's eval pass over its segments and its n-row MC passes
+    view the same buffers, so a warm location allocates only its results.
+    Reallocating every buffer after the stem between the two took 3.1 MiB."""
+    net = build_model("light", seed=0)
+    inputs, _ = _batch(6, seed=3)
+    mcd_predict_batch(net, inputs, n=10, seed=1)
+    buffers = _scratch_buffers(net)
+    tracemalloc.start()
+    try:
+        mcd_predict_batch(net, inputs, n=10, seed=2)
+        added = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _scratch_buffers(net).keys() == buffers.keys()
+    assert all(buf is buffers[k] for k, buf in _scratch_buffers(net).items())
+    assert added < MiB, added / MiB
