@@ -40,7 +40,7 @@ class _Scratch:
     A buffer grows to the largest request for its name, freeing the old one
     before the larger one exists, and never shrinks, so a smaller request
     of any shape or dtype (a 1-row eval between train steps, an MC
-    location's eval pass beside its n-row passes) reallocates nothing. A
+    segment's 1-row eval pass beside its n-row passes) reallocates nothing. A
     request's arrays are overwritten by the next request for the same name;
     two names never share memory.
     """

@@ -76,14 +76,11 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if self.window_s <= 0 or self.hop_s <= 0:
             raise ConfigError("window_s and hop_s must be positive")
-        if self.oversample_divisor < 1:
-            raise ConfigError("oversample_divisor must be >= 1")
+        if self.oversample_divisor < 1 or self.min_keep < 0:
+            raise ConfigError("oversample_divisor must be >= 1 and min_keep >= 0")
         if self.mcd_passes < 2:
             raise ConfigError("mcd_passes must be >= 2")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        TrainConfig(self.lr, self.epochs, self.batch_size, self.weight_decay)  # checks the training fields
         try:
             Variant(self.variant)
         except ValueError:
@@ -104,10 +101,13 @@ class PipelineConfig:
             raise ConfigError(f"invalid config JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config JSON must be an object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            want = type(cls.__dataclass_fields__[key].default)  # a float field also takes an int
+            if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+                raise ConfigError(f"config key {key!r} must be {want.__name__}, got {value!r}")
         return cls(**data)
 
     def header_lines(self, command: str) -> list[str]:

@@ -153,12 +153,17 @@ def quantize_network(net: Network, calibration: np.ndarray) -> QNetwork:
     """Quantize weights and calibrate activation ranges from sample inputs.
 
     ``calibration`` is a stack of standardized model inputs, shape
-    (n, 1, F, T); at least 32 spectrograms are recommended. Each conv's
-    output range is recorded after its fused ReLU.
+    (n, 1, F, T), and finite; at least 32 spectrograms are recommended.
+    Each conv's output range is recorded after its fused ReLU.
     """
     calibration = np.asarray(calibration, dtype=np.float32)
     if calibration.size == 0:
         raise CalibrationError("calibration set is empty")
+    if calibration.ndim != 4 or calibration.shape[1] != net.specs[0].in_ch:
+        raise ShapeError(f"expected (N, {net.specs[0].in_ch}, F, T), got shape {calibration.shape}")
+    in_lo, in_hi = float(calibration.min()), float(calibration.max())
+    if not (np.isfinite(in_lo) and np.isfinite(in_hi)):
+        raise NumericError("calibration inputs must be finite")
     if net.specs != variant_specs(net.variant):
         raise ConfigError(f"only the {net.variant.value} variant stack can be quantized")
     _check_accumulator_bound(qspecs(net.variant))
@@ -184,7 +189,7 @@ def quantize_network(net: Network, calibration: np.ndarray) -> QNetwork:
             elif spec.kind in (LayerKind.MAXPOOL2X2, LayerKind.GLOBAL_AVG_POOL):
                 h = layer.forward(h, train=False)
     act = {str(i): _act_quant_from_range(float(lo), float(hi)) for i, (lo, hi) in ranges.items()}
-    act["input_q"] = _act_quant_from_range(float(calibration.min()), float(calibration.max()))
+    act["input_q"] = _act_quant_from_range(in_lo, in_hi)
     return _build(net.variant, tensors, act)
 
 

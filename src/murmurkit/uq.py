@@ -1,10 +1,9 @@
 """Monte Carlo Dropout inference and confidence scoring.
 
-One deterministic pass plus N stochastic passes per segment; the layers
-before the first dropout layer are deterministic, so they run once per
-segment and every pass continues from their output. Entropy of the
-mean softmax (natural log, normalized by ln 2), coherence of the binary
-pass predictions (1 - 4 * population variance), and their blend
+Each segment runs alone: the layers before the first dropout once, then
+one deterministic and N stochastic passes from their output. Entropy of
+the mean softmax (natural log, normalized by ln 2), coherence of the
+binary pass predictions (1 - 4 * population variance), and their blend
 CS = alpha * (1 - E) + (1 - alpha) * C all live in [0, 1].
 """
 
@@ -112,17 +111,14 @@ def mcd_predict_batch(
     alpha: float = 0.5,
     entropy_mode: str = "entropy_of_mean",
 ) -> list[McdResult]:
-    """MC-Dropout over a stack of inputs (B, 1, F, T).
+    """MC-Dropout over a stack of inputs (B, 1, F, T), one segment at a time.
 
-    The layers before the first dropout layer (the stem: conv -> ReLU in
-    every variant) are deterministic, so they run once, in eval mode, over
-    the whole stack, as does the deterministic pass from the stem output,
-    whose probabilities can move by a few float32 ulps with the stack size
-    (ROADMAP item 1). Each segment's n stochastic passes run as one n-row
-    batch from a broadcast view of its stem row, drawn from the segment's
-    own spawned RNG stream, so they do not depend on the rest of the stack.
-    The results are byte-identical to running every pass from the input,
-    as the oracles in tests/test_mcd_identity.py do.
+    Each segment's stem runs once, in eval mode; its deterministic pass and
+    its n stochastic passes, one n-row batch from a broadcast view of the
+    stem row drawn from the segment's own spawned RNG stream, continue from
+    it. No forward sees two segments, so results and memory do not depend on
+    the stack. The results are byte-identical to the oracles' passes from
+    the input in tests/test_mcd_identity.py.
     """
     if n < 2:
         raise ConfigError(f"MC-Dropout needs n >= 2 stochastic passes, got {n}")
@@ -133,17 +129,14 @@ def mcd_predict_batch(
     if not any(isinstance(l, Dropout) for l in net.layers):
         raise ConfigError("network has no dropout layers; MC-Dropout is undefined")
     inputs = np.asarray(inputs, dtype=np.float32)
-    if len(inputs) == 0:
-        return []
-    start, stem = net.stem(inputs)
-    det = net.forward(stem, mode="eval", start=start)
-    children = np.random.SeedSequence(seed).spawn(len(inputs))
     out = []
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        rows = np.broadcast_to(stem[i], (n, *stem.shape[1:]))
-        pass_probs = net.forward(rows, mode="mcd", rng=rng, start=start)
-        out.append(_scores(det[i], pass_probs, alpha, entropy_mode))
+    for x, child in zip(inputs, np.random.SeedSequence(seed).spawn(len(inputs))):
+        # The stem output is a buffer view that the next stem call overwrites.
+        start, stem = net.stem(x[None])
+        det = net.forward(stem, mode="eval", start=start)
+        rows = np.broadcast_to(stem, (n, *stem.shape[1:]))
+        pass_probs = net.forward(rows, mode="mcd", rng=np.random.default_rng(child), start=start)
+        out.append(_scores(det[0], pass_probs, alpha, entropy_mode))
     return out
 
 

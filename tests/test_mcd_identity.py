@@ -1,12 +1,12 @@
 """Byte identity of MC-dropout inference and dropout gates against oracles.
 
 The oracles are the straightforward formulation: every pass of
-``mcd_predict_batch`` runs the whole network from its input, the deterministic
-pass over the stack and each segment's n stochastic passes over n copies of
-the segment, and dropout draws one float per element with ``rng.random`` and
-keeps the elements whose draw is >= p. The conv, ReLU, pooling and linear
-layers are the network's own: only the order of work and the dropout draw
-are under test. Results, pass probabilities and the generator state left
+``mcd_predict_batch`` runs the whole network from its input, each segment's
+deterministic pass over that segment alone and its n stochastic passes over
+n copies of the segment, and dropout draws one float per element with
+``rng.random`` and keeps the elements whose draw is >= p. The conv, ReLU,
+pooling and linear layers are the network's own: only the order of work
+and the dropout draw are under test. Results, pass probabilities and the generator state left
 behind must match bit for bit, in float32 and float64. The parameter
 gradients of ``Network.backward``, which fuses each block's ReLU -> Dropout
 (-> MaxPool2x2) tail, must match those of the per-layer backward chain.
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from murmurkit.errors import ConfigError
-from murmurkit.nn import Network, Variant, build_model, variant_specs
+from murmurkit.nn import Network, Variant, build_model, predict_labels, variant_specs
 from murmurkit.nn import layers as L
 from murmurkit.uq import _scores, mcd_predict_batch
 
@@ -55,12 +55,12 @@ def oracle_forward(net, x, mode, rng=None):
 
 def oracle_mcd_predict_batch(net, inputs, n, seed, alpha=0.5, entropy_mode="entropy_of_mean"):
     inputs = np.asarray(inputs, dtype=np.float32)
-    det = oracle_forward(net, inputs, "eval")
     out = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(len(inputs))):
         rng = np.random.default_rng(child)
+        det = oracle_forward(net, inputs[i : i + 1], "eval")
         batch = np.broadcast_to(inputs[i][None, ...], (n, *inputs[i].shape)).copy()
-        out.append(_scores(det[i], oracle_forward(net, batch, "mcd", rng), alpha, entropy_mode))
+        out.append(_scores(det[0], oracle_forward(net, batch, "mcd", rng), alpha, entropy_mode))
     return out
 
 
@@ -139,6 +139,26 @@ def test_mcd_predict_batch_calls_in_a_row_match_oracle(entropy_mode):
         _same_results(
             mcd_predict_batch(net, inputs, **kwargs), oracle_mcd_predict_batch(net, inputs, **kwargs)
         )
+
+
+@pytest.mark.parametrize("variant", ["light", "baseline"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_deterministic_pass_does_not_depend_on_the_stack(variant, dtype):
+    """A segment's deterministic probabilities equal a one-row eval forward
+    and its result in a sub-stack, and its label is plain inference's."""
+    net = _net(variant, dtype)
+    inputs = _stack(7, 5)
+    # shift the head's Present bias so the median segment sits at the tie
+    probs = net.forward(inputs, mode="eval")
+    net.parameters()[-1].value[1] -= np.median(np.log(probs[:, 1] / probs[:, 0]))
+    results = mcd_predict_batch(net, inputs, n=2, seed=17)
+    for i, r in enumerate(results):
+        _same_bytes(r.deterministic_probs, net.forward(inputs[i : i + 1], mode="eval")[0])
+    for r, s in zip(results[2:5], mcd_predict_batch(net, inputs[2:5], n=2, seed=17)):
+        _same_bytes(r.deterministic_probs, s.deterministic_probs)
+    labels = [r.deterministic_pred for r in results]
+    assert set(labels) == {0, 1}  # both classes occur, so the label check has teeth
+    np.testing.assert_array_equal(labels, predict_labels(net, inputs))
 
 
 # --- dropout gate draws ----------------------------------------------------------

@@ -113,6 +113,8 @@ class TestFit:
             TrainConfig(lr=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
+        with pytest.raises(ConfigError):
+            TrainConfig(weight_decay=-0.01)
 
     def test_notes_flag_unspecified_defaults(self):
         train_x, train_y = _blob_dataset(n_per_class=4, seed=8)

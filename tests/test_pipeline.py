@@ -60,6 +60,17 @@ class TestPipelineConfig:
             PipelineConfig(variant="giant")
         with pytest.raises(ConfigError):
             PipelineConfig(mcd_passes=1)
+        with pytest.raises(ConfigError):
+            PipelineConfig(min_keep=-2)
+        with pytest.raises(ConfigError):
+            PipelineConfig(weight_decay=-0.01)
+        assert PipelineConfig(min_keep=0, weight_decay=0.0).min_keep == 0
+        assert PipelineConfig.from_json(json.dumps({"lr": 1, "alpha": 0})).lr == 1  # a float field takes an int
+
+    @pytest.mark.parametrize("data", [{"epochs": "3"}, {"mcd_passes": 10.5}, {"batch_size": 2.5}])
+    def test_value_of_another_type_rejected(self, data):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_json(json.dumps(data))
 
     def test_header_embeds_config(self):
         cfg = PipelineConfig(seed=3)

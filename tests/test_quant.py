@@ -110,6 +110,20 @@ class TestQuantizeNetwork:
         with pytest.raises(CalibrationError):
             quantize_network(net, np.zeros((0, 1, 33, 124), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(4, 33, 124), (4, 2, 33, 124), (2, 1, 1, 33, 124)])
+    def test_bad_calibration_shape_raises_shape_error(self, shape):
+        net = build_model("light", seed=0)
+        with pytest.raises(ShapeError):
+            quantize_network(net, np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_calibration_raises_numeric_error(self, bad):
+        net = build_model("light", seed=0)
+        calibration = _calibration(3)
+        calibration[1, 0, 5, 7] = bad
+        with pytest.raises(NumericError):
+            quantize_network(net, calibration)
+
     def test_stack_without_fused_relu_rejected(self):
         from murmurkit.nn import Network, Variant, variant_specs
 

@@ -156,7 +156,8 @@ class TestMcdPredict:
 
     @pytest.mark.parametrize("segments", [1, 4])
     def test_one_eval_forward_then_one_mcd_forward_per_segment(self, light_net, monkeypatch, segments):
-        # The benchmark's trace counts these calls and their rows.
+        # The benchmark's trace counts these calls and their rows. Each
+        # segment runs alone, so no forward sees another segment's rows.
         calls = []
         forward = Network.forward
 
@@ -166,7 +167,7 @@ class TestMcdPredict:
 
         monkeypatch.setattr(Network, "forward", spy)
         mcd_predict_batch(light_net, np.stack([_x(i) for i in range(segments)]), n=7, seed=0)
-        assert calls == [(segments, "eval")] + [(7, "mcd")] * segments
+        assert calls == [(1, "eval"), (7, "mcd")] * segments
 
     def test_batch_matches_shapes(self, light_net):
         inputs = np.stack([_x(i) for i in range(4)])
