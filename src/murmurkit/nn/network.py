@@ -111,8 +111,7 @@ class Network:
                 raise ConfigError(f"unknown layer kind {spec.kind}")
         self._steps = L.backward_plan(self.layers)
         L.share_scratch(self.layers)
-        self._probs: np.ndarray | None = None
-        self._train_cached = False
+        self._probs: np.ndarray | None = None  # a train pass's output, kept for its backward
 
     # -- parameters ----------------------------------------------------
 
@@ -169,11 +168,9 @@ class Network:
         if dropout_active and rng is None and any(isinstance(l, L.Dropout) and l.p > 0 for l in self.layers):
             raise ConfigError(f"mode {mode!r} requires an rng for dropout")
         h = self._run(x, start, len(self.layers), train, dropout_active, rng)
-        if train:
-            self._probs = h
         # A non-train forward overwrites layer workspaces, so any previously
         # cached train pass can no longer back its backward.
-        self._train_cached = train
+        self._probs = h if train else None
         return h
 
     def stem(self, x: np.ndarray) -> tuple[int, np.ndarray]:
@@ -188,7 +185,7 @@ class Network:
             (i for i, l in enumerate(self.layers) if isinstance(l, L.Dropout)), len(self.layers)
         )
         h = self._run(x, 0, start, False, False, None)
-        self._train_cached = False
+        self._probs = None
         return start, h
 
     def _run(self, x, lo: int, hi: int, train: bool, dropout_active: bool, rng) -> np.ndarray:
@@ -222,7 +219,7 @@ class Network:
         network input, so a first conv layer computes only its parameter
         gradients.
         """
-        if not self._train_cached or self._probs is None:
+        if self._probs is None:
             raise StateError("backward requires a forward pass in train mode")
         labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
         probs = self._probs
@@ -238,7 +235,7 @@ class Network:
                 step.backward(grad, input_grad=False)
             else:
                 grad = step.backward(grad)
-        self._train_cached = False
+        self._probs = None
         return [p.grad.copy() for p in self.parameters()]
 
 

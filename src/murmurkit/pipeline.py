@@ -76,8 +76,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if self.window_s <= 0 or self.hop_s <= 0:
             raise ConfigError("window_s and hop_s must be positive")
-        if self.oversample_divisor < 1 or self.min_keep < 0:
-            raise ConfigError("oversample_divisor must be >= 1 and min_keep >= 0")
+        if self.oversample_divisor < 1 or self.min_keep < 0 or self.seed < 0:
+            raise ConfigError("oversample_divisor must be >= 1, and min_keep and seed >= 0")
         if self.mcd_passes < 2:
             raise ConfigError("mcd_passes must be >= 2")
         TrainConfig(self.lr, self.epochs, self.batch_size, self.weight_decay)  # checks the training fields
@@ -108,6 +108,7 @@ class PipelineConfig:
             want = type(cls.__dataclass_fields__[key].default)  # a float field also takes an int
             if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
                 raise ConfigError(f"config key {key!r} must be {want.__name__}, got {value!r}")
+            data[key] = want(value)  # an int given for a float field echoes as a float
         return cls(**data)
 
     def header_lines(self, command: str) -> list[str]:
@@ -292,13 +293,36 @@ def recording_features(
     )
 
 
-def _record_features(
-    base_dir: Path, record: PatientRecord, cfg: PipelineConfig, hop_s: float | None = None
-) -> list[LocationFeatures]:
-    """Each recording of a patient loaded, resampled and gated at ``hop_s``,
-    in manifest order; recordings too short to segment are left out."""
-    feats = [recording_features(load_waveform(base_dir, ref), cfg, hop_s) for ref in record.recordings]
-    return [lf for lf in feats if lf is not None]
+def _patient_features(
+    manifest: DatasetManifest,
+    base_dir: str | Path,
+    split: Split,
+    cfg: PipelineConfig,
+    include_unknown: bool,
+    oversample: bool,
+) -> list[PatientFeatures]:
+    """Per-patient gated features of ``split``, one ``LocationFeatures`` per
+    recording long enough to segment, patients and recordings in manifest
+    order.
+
+    With ``oversample``, Present recordings are segmented with the hop
+    divided by ``oversample_divisor`` to rebalance the classes; the PSD gate
+    runs after oversampling, as in the published pipeline.
+    """
+    base = Path(base_dir)
+    records = [
+        r
+        for r in manifest.records(split)
+        if include_unknown or r.murmur_label is not MurmurLabel.UNKNOWN
+    ]
+
+    def one(record: PatientRecord) -> PatientFeatures:
+        present = record.murmur_label is MurmurLabel.PRESENT
+        hop = cfg.hop_s / cfg.oversample_divisor if oversample and present else cfg.hop_s
+        feats = [recording_features(load_waveform(base, ref), cfg, hop) for ref in record.recordings]
+        return PatientFeatures(record.patient_id, record.murmur_label, [lf for lf in feats if lf is not None])
+
+    return _parallel_map(one, records)
 
 
 def eval_features(
@@ -310,77 +334,43 @@ def eval_features(
 ) -> list[PatientFeatures]:
     """Per-patient gated features at the evaluation hop (no oversampling),
     merged by location in location-name order."""
-    base = Path(base_dir)
-    records = [
-        r
-        for r in manifest.records(split)
-        if include_unknown or r.murmur_label is not MurmurLabel.UNKNOWN
-    ]
-
-    def one(record: PatientRecord) -> PatientFeatures:
-        feats = _record_features(base, record, cfg)
+    feats = _patient_features(manifest, base_dir, split, cfg, include_unknown, oversample=False)
+    for pf in feats:  # in place, so each patient's unmerged stacks are freed before the next
         merged = []
-        for loc in sorted({lf.location for lf in feats}, key=lambda l: l.value):
-            parts = [lf for lf in feats if lf.location is loc]
+        for loc in sorted({lf.location for lf in pf.locations}, key=lambda l: l.value):
+            parts = [lf for lf in pf.locations if lf.location is loc]
             merged.append(
-                LocationFeatures(
+                parts[0]  # a lone recording is kept as it is: a copy would only add memory
+                if len(parts) == 1
+                else LocationFeatures(
                     location=loc,
                     inputs=np.concatenate([p.inputs for p in parts], axis=0),
                     start_s=tuple(s for p in parts for s in p.start_s),
                     n_total_segments=sum(p.n_total_segments for p in parts),
                 )
             )
-        return PatientFeatures(record.patient_id, record.murmur_label, merged)
-
-    return _parallel_map(one, records)
-
-
-def _training_stacks(
-    manifest: DatasetManifest, base_dir: str | Path, cfg: PipelineConfig
-) -> dict[str, tuple[np.ndarray, int]]:
-    """patient_id: (kept inputs, label) for each Known Train patient with
-    usable audio, in manifest order.
-
-    Present recordings are segmented with the hop divided by
-    ``oversample_divisor`` to rebalance the classes; the PSD gate runs after
-    oversampling, as in the published pipeline.
-    """
-    base = Path(base_dir)
-    records = [r for r in manifest.records(Split.TRAIN) if r.murmur_label is not MurmurLabel.UNKNOWN]
-
-    def one(record: PatientRecord) -> tuple[np.ndarray | None, int]:
-        label = int(record.murmur_label is MurmurLabel.PRESENT)
-        hop = cfg.hop_s / cfg.oversample_divisor if label else cfg.hop_s
-        xs = [lf.inputs for lf in _record_features(base, record, cfg, hop) if len(lf.inputs)]
-        return (np.concatenate(xs, axis=0) if xs else None), label
-
-    stacks = zip((r.patient_id for r in records), _parallel_map(one, records))
-    return {pid: stack for pid, stack in stacks if stack[0] is not None}
+        pf.locations = merged
+    return feats
 
 
 _NO_TRAIN_AUDIO = "no usable recordings in split Train"
 
 
-def _concat_stacks(stacks: list[tuple[np.ndarray, int]], empty: str) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (X, y) of (inputs, label) stacks; ``empty`` is the error when
-    there are none."""
-    if not stacks:
-        raise EmptyDatasetError(empty)
-    x = np.concatenate([x for x, _ in stacks], axis=0)
-    y = np.concatenate([np.full(len(x), label, dtype=np.int64) for x, label in stacks])
-    return x, y
-
-
 def training_features(
     manifest: DatasetManifest, base_dir: str | Path, cfg: PipelineConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (X, y) training arrays of the Known Train patients, with
-    Present-class oversampling (see ``_training_stacks``)."""
-    return _concat_stacks(list(_training_stacks(manifest, base_dir, cfg).values()), _NO_TRAIN_AUDIO)
+    """Flat (X, y) training arrays of the Known Train patients, in manifest
+    and recording order, with Present-class oversampling (see
+    ``_patient_features``)."""
+    train = _patient_features(manifest, base_dir, Split.TRAIN, cfg, include_unknown=False, oversample=True)
+    return flatten_segments(train, _NO_TRAIN_AUDIO)
 
 
-def flatten_segments(feats: list[PatientFeatures]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack all segments of Known patients with patient-level labels."""
+def flatten_segments(
+    feats: list[PatientFeatures], empty: str = "no segments to evaluate"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack all segments of Known patients with patient-level labels;
+    ``empty`` is the error when there are none."""
     stacks = [
         (lf.inputs, int(pf.label is MurmurLabel.PRESENT))
         for pf in feats
@@ -388,7 +378,11 @@ def flatten_segments(feats: list[PatientFeatures]) -> tuple[np.ndarray, np.ndarr
         for lf in pf.locations
         if len(lf.inputs)
     ]
-    return _concat_stacks(stacks, "no segments to evaluate")
+    if not stacks:
+        raise EmptyDatasetError(empty)
+    x = np.concatenate([x for x, _ in stacks], axis=0)
+    y = np.concatenate([np.full(len(x), label, dtype=np.int64) for x, label in stacks])
+    return x, y
 
 
 # --- inference ----------------------------------------------------------------
@@ -593,17 +587,17 @@ def cv_run(
     for n_fft in n_fft_grid:
         for psd_thr in psd_thr_grid:
             point = replace(cfg, n_fft=n_fft, psd_thr=psd_thr)
-            stacks = _training_stacks(manifest, base_dir, point)
-            all_feats = eval_features(
-                manifest, base_dir, Split.TRAIN, point, include_unknown=False
+            train_feats = _patient_features(
+                manifest, base_dir, Split.TRAIN, point, include_unknown=False, oversample=True
             )
+            all_feats = eval_features(manifest, base_dir, Split.TRAIN, point, include_unknown=False)
             val_x, val_y = flatten_segments(
                 eval_features(manifest, base_dir, Split.VALIDATION, point, include_unknown=False)
             )
             accs, f1s = [], []
             for fold, held in enumerate(map(set, folds)):
-                train_x, train_y = _concat_stacks(
-                    [v for pid, v in stacks.items() if pid not in held], _NO_TRAIN_AUDIO
+                train_x, train_y = flatten_segments(
+                    [pf for pf in train_feats if pf.patient_id not in held], _NO_TRAIN_AUDIO
                 )
                 held_x, held_y = flatten_segments([pf for pf in all_feats if pf.patient_id in held])
                 net = build_model(point.variant, seed=stage_seed(point.seed, "init"))

@@ -195,11 +195,11 @@ def quantize_network(net: Network, calibration: np.ndarray) -> QNetwork:
 
 def _qgemm(op: _QOp, in_q: ActQuant, cols: np.ndarray) -> np.ndarray:
     """Integer GEMM of a conv or linear op: (out, K) int8 weights times one
-    input's centered integer columns (K, P); returns the real-valued (out, P)
-    output before requantization. Accumulation runs through float64 BLAS
-    and is exact (module docstring)."""
+    input's centered integer columns (K, P), given in float64; returns the
+    real-valued (out, P) output before requantization. Accumulation runs
+    through float64 BLAS and is exact (module docstring)."""
     wm = op.w.values.reshape(len(op.w.values), -1).astype(np.float64)
-    real = wm @ cols.astype(np.float64)
+    real = wm @ cols
     real *= op.w.scale * in_q.scale
     real += op.b_q.dequantize().astype(np.float64)[:, None]
     return real
@@ -211,7 +211,7 @@ def _qforward_one(qnet: QNetwork, x: np.ndarray) -> np.ndarray:
     q = cur_q.quantize(x)[None]  # a batch of one for the shared im2col and pool kernels
     for op in qnet.ops:
         if op.kind is LayerKind.CONV3X3:
-            cols = _im2col3x3(q.astype(np.int32) - cur_q.zero_point)[0]  # real zero maps to 0
+            cols = _im2col3x3(q.astype(np.float64) - cur_q.zero_point)[0]  # real zero maps to 0
             real = _qgemm(op, cur_q, cols)
             np.maximum(real, 0, out=real)  # fused ReLU
             cur_q = op.out_q
@@ -222,7 +222,7 @@ def _qforward_one(qnet: QNetwork, x: np.ndarray) -> np.ndarray:
             # the float64 sum of int8 values is exact, so this is the integer mean
             q = np.clip(np.round(q.mean(axis=(2, 3))), -128, 127).astype(np.int8)
         elif op.kind is LayerKind.LINEAR:
-            flat = q.reshape(-1, 1).astype(np.int32) - cur_q.zero_point
+            flat = q.reshape(-1, 1).astype(np.float64) - cur_q.zero_point
             probs = softmax(_qgemm(op, cur_q, flat)[:, 0])
     return probs
 

@@ -237,7 +237,9 @@ class TestExitCodes:
         header = out.read_text().splitlines()[1]
         assert json.loads(header.split("\t", 1)[1])["seed"] == 9
 
-    @pytest.mark.parametrize("config, flags", [({"epochs": "3"}, []), ({}, ["--min-keep", "-1"])])
+    @pytest.mark.parametrize(
+        "config, flags", [({"epochs": "3"}, []), ({}, ["--min-keep", "-1"]), ({}, ["--seed", "-1"])]
+    )
     def test_bad_config_type_or_sign_exits_2(self, tmp_path, config, flags, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))

@@ -64,8 +64,12 @@ class TestPipelineConfig:
             PipelineConfig(min_keep=-2)
         with pytest.raises(ConfigError):
             PipelineConfig(weight_decay=-0.01)
+        with pytest.raises(ConfigError):
+            PipelineConfig(seed=-1)
         assert PipelineConfig(min_keep=0, weight_decay=0.0).min_keep == 0
-        assert PipelineConfig.from_json(json.dumps({"lr": 1, "alpha": 0})).lr == 1  # a float field takes an int
+        cfg = PipelineConfig.from_json(json.dumps({"lr": 1, "alpha": 0}))  # a float field takes an int
+        assert cfg.lr == 1 and isinstance(cfg.lr, float)
+        assert cfg.to_json() == PipelineConfig(lr=1.0, alpha=0.0).to_json()
 
     @pytest.mark.parametrize("data", [{"epochs": "3"}, {"mcd_passes": 10.5}, {"batch_size": 2.5}])
     def test_value_of_another_type_rejected(self, data):
