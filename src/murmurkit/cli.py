@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, train, cv, infer, quantize, resources, uq-report.
-Reports are tab-separated text with the resolved config echoed in the
-header; exit code 2 signals a bad config, 3 a missing input.
+The config is resolved once per run, from --config and the flags, and
+every report is tab-separated text with that config echoed in the header;
+exit code 2 signals a bad config, 3 a missing input.
 """
 
 from __future__ import annotations
@@ -38,37 +39,34 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, type=type(f.default), dest=f.name)
 
 
-def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "config", None):
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise FileNotFoundError(f"config file not found: {cfg_path}")
-        cfg = PipelineConfig.from_json(cfg_path.read_text(encoding="utf-8"))
-    else:
-        cfg = PipelineConfig()
-    overrides = {}
-    for f in dataclasses.fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
-
-
 def _require(path: Path, what: str) -> Path:
     if not Path(path).exists():
         raise FileNotFoundError(f"{what} not found: {path}")
     return Path(path)
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    """The --config file (or the defaults) with the set flags laid over it."""
+    cfg = PipelineConfig()
+    if args.config:
+        cfg = PipelineConfig.from_json(_require(args.config, "config file").read_text(encoding="utf-8"))
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _write(path: Path, text: str, what: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    print(f"wrote {what} to {path}")
+
+
+def _cmd_synth(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest = pipeline.synth_corpus(args.out, args.patients, cfg.seed)
     print(f"wrote corpus under {args.out} ({manifest})")
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_train(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
     outcome = pipeline.train_run(manifest, base, cfg, args.out)
     best = outcome.history.best_epoch
@@ -89,36 +87,28 @@ def _grid(text: str, kind, flag: str) -> list | None:
         raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _cmd_cv(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_cv(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
     n_fft_grid = _grid(args.n_fft_grid, int, "--n-fft-grid")
     psd_grid = _grid(args.psd_thr_grid, float, "--psd-thr-grid")
     report = pipeline.cv_run(manifest, base, cfg, k=args.k, n_fft_grid=n_fft_grid, psd_thr_grid=psd_grid)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(report, encoding="utf-8")
-    print(f"wrote CV report to {args.out}")
+    _write(args.out, report, "CV report")
     return 0
 
 
-def _cmd_infer(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_infer(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
     net = load_network(_require(args.weights, "weights directory"))
     feats = pipeline.eval_features(manifest, base, Split(args.split), cfg)
     result = pipeline.infer_patients(net, feats, cfg, selective=args.selective)
-    report = pipeline.infer_report(result, cfg)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(report, encoding="utf-8")
-    print(f"wrote predictions to {args.out}")
+    _write(args.out, pipeline.infer_report(result, cfg), "predictions")
     if result.patient_metrics is not None:
         m = result.patient_metrics
         print(f"patient accuracy {m.accuracy:.4f}, recall {m.recall:.4f}, f1 {m.f1:.4f}")
     return 0
 
 
-def _cmd_quantize(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_quantize(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
     net = load_network(_require(args.weights, "weights directory"))
     outcome = pipeline.quantize_run(net, manifest, base, cfg, args.out)
@@ -131,8 +121,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_resources(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_resources(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     try:
         c, h, w = (int(v) for v in args.input_shape.lower().split("x"))
     except ValueError:
@@ -146,22 +135,16 @@ def _cmd_resources(args: argparse.Namespace) -> int:
     report = resources.analyze(specs, input_shape=(c, h, w), dtype_width=args.dtype_width, variant=variant)
     text = "\n".join(cfg.header_lines("resources")) + "\n" + report.to_tsv()
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote resource report to {args.out}")
+        _write(args.out, text, "resource report")
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _cmd_uq_report(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_uq_report(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
     net = load_network(_require(args.weights, "weights directory"))
-    report = pipeline.uq_report(net, manifest, base, Split(args.split), cfg)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(report, encoding="utf-8")
-    print(f"wrote UQ report to {args.out}")
+    _write(args.out, pipeline.uq_report(net, manifest, base, Split(args.split), cfg), "UQ report")
     return 0
 
 
@@ -228,7 +211,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -246,7 +246,10 @@ class Conv3x3:
     def _im2col(self, x: np.ndarray, *after) -> tuple[np.ndarray, list[np.ndarray]]:
         """x's (N, C*9, H*W) columns in the scratch, and arrays of the given
         (shape, dtype) laid out after them, over the padded copy of x that
-        is dead once the columns are built."""
+        is dead once the columns are built. The layouts overlap on purpose:
+        with one sequential layout, conv2's first backward grows the scratch
+        and frees a 20 MiB mmapped block, glibc then raises its mmap
+        threshold, and a `light` training run's peak RSS went 108 -> 122 MB."""
         n, c, h, w = x.shape
         col, pad = ((n, c * 9, h * w), x.dtype), ((n, c, h + 2, w + 2), x.dtype)
         (cols, xp), (_, *rest) = self._scratch.views([col, pad], [col, *after])

@@ -13,7 +13,7 @@ import json
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +68,11 @@ class PipelineConfig:
     vote_rule: str = "share"
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # types first, on every route into a config
+            want, value = type(f.default), getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+                raise ConfigError(f"config key {f.name!r} must be {want.__name__}, got {value!r}")
+            setattr(self, f.name, want(value))  # an int given for a float field echoes as a float
         if self.n_fft not in dsp.VALID_N_FFT:
             raise ConfigError(f"n_fft must be one of {dsp.VALID_N_FFT}, got {self.n_fft}")
         for name in ("psd_thr", "vote_thr", "fallback_thr", "cs_threshold", "confident_ratio", "alpha"):
@@ -104,11 +109,6 @@ class PipelineConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            want = type(cls.__dataclass_fields__[key].default)  # a float field also takes an int
-            if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
-                raise ConfigError(f"config key {key!r} must be {want.__name__}, got {value!r}")
-            data[key] = want(value)  # an int given for a float field echoes as a float
         return cls(**data)
 
     def header_lines(self, command: str) -> list[str]:
@@ -587,6 +587,7 @@ def cv_run(
     for n_fft in n_fft_grid:
         for psd_thr in psd_thr_grid:
             point = replace(cfg, n_fft=n_fft, psd_thr=psd_thr)
+            row = f"{point.n_fft}\t{point.psd_thr}\t"  # the validated values, so equal grids print alike
             train_feats = _patient_features(
                 manifest, base_dir, Split.TRAIN, point, include_unknown=False, oversample=True
             )
@@ -605,11 +606,9 @@ def cv_run(
                 m = metrics.binary_metrics(predict_labels(net, held_x), held_y)
                 accs.append(m.accuracy)
                 f1s.append(m.f1)
-                lines.append(f"{n_fft}\t{psd_thr}\t{fold}\t{m.accuracy:.4f}\t{m.f1:.4f}")
-            lines.append(
-                f"{n_fft}\t{psd_thr}\tmean\t{np.mean(accs):.4f}\t{np.mean(f1s):.4f}"
-            )
-            lines.append(f"{n_fft}\t{psd_thr}\tstd\t{np.std(accs):.4f}\t{np.std(f1s):.4f}")
+                lines.append(f"{row}{fold}\t{m.accuracy:.4f}\t{m.f1:.4f}")
+            lines.append(f"{row}mean\t{np.mean(accs):.4f}\t{np.mean(f1s):.4f}")
+            lines.append(f"{row}std\t{np.std(accs):.4f}\t{np.std(f1s):.4f}")
     return "\n".join(lines) + "\n"
 
 

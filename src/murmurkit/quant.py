@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, NumericError, ParseError, ShapeError
-from .nn.layers import _im2col3x3, max_pool_2x2, softmax
+from .nn.layers import _im2col3x3, global_avg_pool, max_pool_2x2, softmax
 from .nn.network import (
     LayerKind,
     LayerSpec,
@@ -220,7 +220,7 @@ def _qforward_one(qnet: QNetwork, x: np.ndarray) -> np.ndarray:
             q = max_pool_2x2(q)  # max in int8; qparams unchanged
         elif op.kind is LayerKind.GLOBAL_AVG_POOL:
             # the float64 sum of int8 values is exact, so this is the integer mean
-            q = np.clip(np.round(q.mean(axis=(2, 3))), -128, 127).astype(np.int8)
+            q = np.clip(np.round(global_avg_pool(q)), -128, 127).astype(np.int8)
         elif op.kind is LayerKind.LINEAR:
             flat = q.reshape(-1, 1).astype(np.float64) - cur_q.zero_point
             probs = softmax(_qgemm(op, cur_q, flat)[:, 0])

@@ -67,14 +67,23 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(seed=-1)
         assert PipelineConfig(min_keep=0, weight_decay=0.0).min_keep == 0
+        with pytest.raises(ConfigError):
+            PipelineConfig(n_fft=np.int64(64))
         cfg = PipelineConfig.from_json(json.dumps({"lr": 1, "alpha": 0}))  # a float field takes an int
         assert cfg.lr == 1 and isinstance(cfg.lr, float)
         assert cfg.to_json() == PipelineConfig(lr=1.0, alpha=0.0).to_json()
+        assert PipelineConfig(lr=1).to_json() == PipelineConfig(lr=1.0).to_json()
 
-    @pytest.mark.parametrize("data", [{"epochs": "3"}, {"mcd_passes": 10.5}, {"batch_size": 2.5}])
+    @pytest.mark.parametrize(
+        "data", [{"epochs": "3"}, {"mcd_passes": 10.5}, {"batch_size": 2.5}, {"psd_thr": True}]
+    )
     def test_value_of_another_type_rejected(self, data):
         with pytest.raises(ConfigError):
             PipelineConfig.from_json(json.dumps(data))
+        with pytest.raises(ConfigError):
+            PipelineConfig(**data)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(PipelineConfig(), **data)
 
     def test_header_embeds_config(self):
         cfg = PipelineConfig(seed=3)
@@ -336,6 +345,12 @@ class TestTrainAndInfer:
         assert lines[0] == "n_fft\tpsd_thr\tfold\tseg_accuracy\tseg_f1"
         assert any("\tmean\t" in l for l in lines)
         assert any("\tstd\t" in l for l in lines)
+
+    def test_cv_equal_grids_give_equal_reports(self, corpus):
+        manifest, base = corpus
+        cfg = PipelineConfig(seed=11, epochs=1)
+        report = pipeline.cv_run(manifest, base, cfg, k=2, psd_thr_grid=[0])
+        assert report == pipeline.cv_run(manifest, base, cfg, k=2, psd_thr_grid=[0.0])
 
     def test_cv_checkpoints_on_the_validation_split(self, corpus, monkeypatch):
         # Every fold picks its epoch on the Validation split's Known
