@@ -2,8 +2,8 @@
 
 All activations are (N, C, H, W) row-major arrays except after the final
 pooling, where linear layers flatten to (N, C). Convolutions are 3x3 with
-stride 1 and zero padding 1, implemented via im2col so the inner loop is a
-single GEMM.
+stride 1 and zero padding 1, via im2col one sample at a time, so each
+sample's product is a single GEMM.
 
 Hot layers take their buffers from a ``_Scratch``: on a small host,
 repeatedly mallocing multi-megabyte temporaries costs more in page faults
@@ -11,7 +11,9 @@ than the arithmetic itself. Each layer owns one for what outlives a call:
 its forward output, the dropout gate and the pool's winner code that its
 backward reads, and the gradient its backward returns, each overwritten by
 the layer's next request for that name. The convs of a network share one
-more for what lives only inside one call (``share_scratch``). ReLU, and
+more for what lives only inside one call (``share_scratch``): the padded
+batch and one sample's columns, which do not grow with the batch (partial
+im2col, as in CMSIS-NN; Lai et al. 2018, arXiv:1801.06601). ReLU, and
 Dropout in training, write over their input instead (in-place activations,
 Rota Bulo et al. 2018, arXiv:1712.02616). Results are identical with or
 without reuse.
@@ -49,22 +51,16 @@ class _Scratch:
         self._tls = threading.local()
 
     def get(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        return self.views([(shape, dtype)], name=name)[0][0]
+        return self.views([(shape, dtype)], name=name)[0]
 
-    def views(self, *layouts: list[tuple], name: str = "") -> list[list[np.ndarray]]:
-        """One list of arrays per layout, a list of (shape, dtype) pairs
-        whose arrays lie one after the other, each cache-line aligned. Every
-        layout starts at the buffer's first byte, so two layouts of one
-        request overlap after their common head."""
+    def views(self, layout: list[tuple], name: str = "") -> list[np.ndarray]:
+        """One array per (shape, dtype) pair of ``layout``, one after the
+        other in the buffer, each cache-line aligned."""
         spans, size = [], 0
-        for layout in layouts:
-            span, end = [], 0
-            for shape, dtype in layout:
-                nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-                span.append((end, nbytes))
-                end += -(-nbytes // 64) * 64
-            spans.append(span)
-            size = max(size, end)
+        for shape, dtype in layout:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            spans.append((size, nbytes))
+            size += -(-nbytes // 64) * 64
         bufs = getattr(self._tls, "bufs", None)
         if bufs is None:
             bufs = self._tls.bufs = {}
@@ -72,61 +68,50 @@ class _Scratch:
         if buf is None or buf.size < size:
             buf = bufs[name] = None  # free the old buffer before the new one exists
             buf = bufs[name] = np.empty(size, dtype=np.uint8)
-        return [
-            [buf[lo : lo + n].view(dtype).reshape(shape) for (lo, n), (shape, dtype) in zip(span, layout)]
-            for span, layout in zip(spans, layouts)
-        ]
+        return [buf[lo : lo + n].view(dtype).reshape(shape) for (lo, n), (shape, dtype) in zip(spans, layout)]
 
 
 # --- convolution ------------------------------------------------------------
 
 
-def _im2col3x3(
-    x: np.ndarray, xp: np.ndarray | None = None, cols: np.ndarray | None = None
-) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*9, H*W) patches with zero padding 1, built
-    through the padded copy ``xp`` (N, C, H+2, W+2) into ``cols``; both are
-    allocated when not given."""
+def _padded_taps(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """Copy x (N, C, H, W) into ``xp`` (N, C, H+2, W+2) inside a zero border,
+    and return the (N, C, 3, 3, H, W) view of ``xp`` whose plane
+    [n, c, u, v] is tap (u, v): tap (u, v) of output (i, j) is
+    xp[u + i, v + j]. The view is only read, but it stays writable: numpy
+    2.4 leaks about 50 bytes per writeable=False view (tracemalloc)."""
     n, c, h, w = x.shape
-    if xp is None:
-        xp = np.empty((n, c, h + 2, w + 2), dtype=x.dtype)
-        cols = np.empty((n, c * 9, h * w), dtype=x.dtype)
-    xp[:, :, 0] = 0
-    xp[:, :, -1] = 0
-    xp[:, :, 1:-1, 0] = 0
-    xp[:, :, 1:-1, -1] = 0
+    xp[:, :, :: h + 1] = 0  # rows 0 and h + 1
+    xp[:, :, :, :: w + 1] = 0
     xp[:, :, 1:-1, 1:-1] = x
-    # Tap (u, v) of output (i, j) is xp[u + i, v + j]: one copy from a view
-    # with the tap axes ahead of the spatial ones. The view is only read,
-    # but it stays writable: numpy 2.4 leaks about 50 bytes per
-    # writeable=False view (tracemalloc).
     sn, sc, sh, sw = xp.strides
-    taps = as_strided(xp, (n, c, 3, 3, h, w), (sn, sc, sh, sw, sh, sw))
-    np.copyto(cols.reshape(n, c, 3, 3, h, w), taps)
-    return cols
+    return as_strided(xp, (n, c, 3, 3, h, w), (sn, sc, sh, sw, sh, sw))
 
 
-def _tap_ranges(u: int, size: int) -> tuple[slice, slice]:
-    """The output rows (or columns) that tap offset ``u`` reaches inside the
-    image, and the rows of the tap's column plane they take: output row i
-    takes plane row i + 1 - u."""
-    return slice(max(u - 1, 0), size + min(u - 1, 0)), slice(max(1 - u, 0), size - max(u - 1, 0))
+def _im2col3x3(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> new (N, C*9, H*W) patches with zero padding 1."""
+    n, c, h, w = x.shape
+    taps = _padded_taps(x, np.empty((n, c, h + 2, w + 2), x.dtype))
+    return np.ascontiguousarray(taps).reshape(n, c * 9, h * w)
 
 
-def _col2im3x3(dcols: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Sum (N, C*9, H*W) columns back into ``dx`` (N, C, H, W), the adjoint
-    of ``_im2col3x3``. Each element starts at +0 and takes its taps in tap
-    order, as a zeroed padded buffer would; taps that fall on the padding
-    are skipped."""
-    n, c, h, w = dx.shape
-    d = dcols.reshape(n, c, 3, 3, h, w)
-    dx[...] = 0
-    for u in range(3):
-        rows, tap_rows = _tap_ranges(u, h)
-        for v in range(3):
-            cols, tap_cols = _tap_ranges(v, w)
-            dx[:, :, rows, cols] += d[:, :, u, v, tap_rows, tap_cols]
-    return dx
+def _col2im3x3(dcols: np.ndarray, c: int, h: int, w: int) -> list[tuple[tuple, np.ndarray]]:
+    """col2im, the adjoint of ``_im2col3x3``, for one sample's (C*9, H*W)
+    columns as nine (dx index, dcols view) pairs in tap order. Adding each
+    view into its index of the sample's (C, H, W) dx in turn gives every
+    element its taps in tap order after what dx holds, +0 in a zeroed one,
+    as a zeroed padded buffer would; taps on the padding are skipped. Tap
+    (u, v) takes output row i from its plane's row i + 1 - u."""
+    d = dcols.reshape(c, 3, 3, h, w)
+    ranges = [
+        [(slice(max(u - 1, 0), size + min(u - 1, 0)), slice(max(1 - u, 0), size - max(u - 1, 0))) for u in range(3)]
+        for size in (h, w)
+    ]
+    return [
+        ((slice(None), rows, cols), d[:, u, v, tap_rows, tap_cols])
+        for u, (rows, tap_rows) in enumerate(ranges[0])
+        for v, (cols, tap_cols) in enumerate(ranges[1])
+    ]
 
 
 # --- 2x2 max pooling ----------------------------------------------------------
@@ -219,15 +204,19 @@ class Param:
 
 
 class Conv3x3:
-    """3x3 convolution, stride 1, zero padding 1, as one im2col GEMM.
+    """3x3 convolution, stride 1, zero padding 1, as one im2col GEMM per
+    sample.
 
-    Train mode caches the input, not its columns: the backward rebuilds the
-    columns from it in the shared scratch, the recompute half of Chen et al.
-    2016 (arXiv:1604.06174, section 4). That is safe because nothing writes a
-    conv's input until that conv's backward has run. The input is the
-    previous pool's output, the previous block's activation (``heavy``'s
-    unpooled blocks, whose tail writes its gradient there only after this
-    conv's backward), or the batch itself.
+    Forward and backward pad the batch once into the shared scratch, then
+    copy each sample's taps into one (C*9, H*W) column buffer and run that
+    sample's GEMMs on it, as numpy's batched matmul would. Train mode
+    caches the input, not its columns: the backward rebuilds the columns
+    from it, the recompute half of Chen et al. 2016 (arXiv:1604.06174,
+    section 4). That is safe because nothing writes a conv's input until
+    that conv's backward has run. The input is the previous pool's output,
+    the previous block's activation (``heavy``'s unpooled blocks, whose tail
+    writes its gradient there only after this conv's backward), or the
+    batch itself.
     """
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator, dtype=np.float32):
@@ -243,27 +232,25 @@ class Conv3x3:
     def params(self) -> list[Param]:
         return [self.w, self.b]
 
-    def _im2col(self, x: np.ndarray, *after) -> tuple[np.ndarray, list[np.ndarray]]:
-        """x's (N, C*9, H*W) columns in the scratch, and arrays of the given
-        (shape, dtype) laid out after them, over the padded copy of x that
-        is dead once the columns are built. The layouts overlap on purpose:
-        with one sequential layout, conv2's first backward grows the scratch
-        and frees a 20 MiB mmapped block, glibc then raises its mmap
-        threshold, and a `light` training run's peak RSS went 108 -> 122 MB."""
+    def _im2col(self, x: np.ndarray, *after) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """The tap view of x's padded copy, one sample's (C*9, H*W) column
+        buffer and arrays of the given (shape, dtype), one after the other
+        in the scratch: only the padded copy grows with the batch."""
         n, c, h, w = x.shape
-        col, pad = ((n, c * 9, h * w), x.dtype), ((n, c, h + 2, w + 2), x.dtype)
-        (cols, xp), (_, *rest) = self._scratch.views([col, pad], [col, *after])
-        _im2col3x3(x, xp, cols)
-        return cols, rest
+        xp, col, *rest = self._scratch.views([((n, c, h + 2, w + 2), x.dtype), ((c * 9, h * w), x.dtype), *after])
+        return _padded_taps(x, xp), col, rest
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_ch:
             raise ShapeError(f"conv expects {self.in_ch} channels, got {c}")
-        cols, _ = self._im2col(x)
+        taps, col, _ = self._im2col(x)
+        col_taps = col.reshape(c, 3, 3, h, w)
         wm = self.w.value.reshape(self.out_ch, self.in_ch * 9)
         out = self._ws.get("out", (n, self.out_ch, h * w), x.dtype)
-        np.matmul(wm, cols, out=out)
+        for i in range(n):
+            np.copyto(col_taps, taps[i])
+            np.matmul(wm, col, out=out[i])
         out += self.b.value[None, :, None]
         self._cache = x if train else None
         return out.reshape(n, self.out_ch, h, w)
@@ -275,25 +262,32 @@ class Conv3x3:
             raise StateError("conv backward without cached forward")
         x = self._cache
         self._cache = None
-        n, _, h, w = x.shape
+        n, c, h, w = x.shape
         g = grad.reshape(n, self.out_ch, h * w)
         dw_shape = (self.out_ch, self.in_ch * 9)
-        cols, (dw, term) = self._im2col(x, (dw_shape, g.dtype), (dw_shape, g.dtype))
-        # One dW GEMM per sample over the strided (H*W, 9*in) view, summed
-        # in sample order as a sum over a stack of them would be.
-        np.matmul(g[0], cols[0].T, out=dw)
-        for i in range(1, n):
-            np.matmul(g[i], cols[i].T, out=term)
-            dw += term
+        taps, col, (dw, term) = self._im2col(x, (dw_shape, g.dtype), (dw_shape, g.dtype))
+        col_taps, col_t, dcol_taps = col.reshape(c, 3, 3, h, w), col.T, _col2im3x3(col, c, h, w)
+        wm_t = self.w.value.reshape(dw_shape).T
+        dx = self._ws.get("dx", x.shape, col.dtype) if input_grad else None
+        if dx is not None:
+            dx[...] = 0
+        for i in range(n):
+            np.copyto(col_taps, taps[i])
+            # One dW GEMM per sample over the strided (H*W, 9*in) view,
+            # summed in sample order as a sum over a stack of them would be.
+            np.matmul(g[i], col_t, out=term if i else dw)
+            if i:
+                dw += term
+            if dx is not None:
+                # The dW GEMM was the last reader of the sample's columns:
+                # they take its input-gradient columns.
+                np.matmul(wm_t, g[i], out=col)
+                dx_i = dx[i]
+                for index, plane in dcol_taps:
+                    dx_i[index] += plane
         self.w.grad += dw.reshape(self.w.value.shape)
         self.b.grad += g.sum(axis=(0, 2))
-        if not input_grad:
-            return None
-        # The dW GEMMs were the last readers of cols: it takes the input
-        # gradient's columns.
-        wm = self.w.value.reshape(self.out_ch, self.in_ch * 9)
-        np.matmul(wm.T, g, out=cols)
-        return _col2im3x3(cols, self._ws.get("dx", x.shape, cols.dtype))
+        return dx
 
 
 def share_scratch(layers: list) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(abs(v) <= sys.float_info.max for v in (self.lr, self.weight_decay)):  # nan, inf, too large
+            raise ConfigError(f"lr and weight_decay must be finite, got {self.lr} and {self.weight_decay}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:

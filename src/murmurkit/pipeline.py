@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -72,6 +73,8 @@ class PipelineConfig:
             want, value = type(f.default), getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
                 raise ConfigError(f"config key {f.name!r} must be {want.__name__}, got {value!r}")
+            if want is float and not abs(value) <= sys.float_info.max:  # nan, inf or an int too large for a float
+                raise ConfigError(f"config key {f.name!r} must be finite, got {value!r}")
             setattr(self, f.name, want(value))  # an int given for a float field echoes as a float
         if self.n_fft not in dsp.VALID_N_FFT:
             raise ConfigError(f"n_fft must be one of {dsp.VALID_N_FFT}, got {self.n_fft}")

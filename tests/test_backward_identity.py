@@ -1,4 +1,5 @@
-"""Byte identity of the conv and block-tail backward kernels against oracles.
+"""Byte identity of the conv and block-tail backward kernels (and of the
+int8 twin's ``_im2col3x3``) against oracles.
 
 The oracles below are the allocate-per-call formulation of the training
 backward: the conv rebuilds its columns from its cached input with a
@@ -159,6 +160,15 @@ def test_conv_backward_matches_oracle(shape, dtype, input_grad):
             assert got_dx is None and want_dx is None
         for g, w in zip(got, want):
             _same_bytes(g, w)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", list(CONV_SHAPES))
+def test_im2col_matches_oracle(shape, dtype):
+    """The int8 twin's column builder, which shares the conv's tap view."""
+    n, c_in, _, h, w = CONV_SHAPES[shape]
+    x = _random((n, c_in, h, w), dtype, 7)
+    _same_bytes(L._im2col3x3(x), oracle_im2col3x3(x))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -217,6 +217,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--hop-s", "nan"], ["--window-s", "inf"], ["--lr", "nan"]])
+    def test_non_finite_config_value_exits_2(self, corpus_dir, tmp_path, flags, capsys):
+        manifest = str(corpus_dir / "manifest.tsv")
+        assert run(["train", "--manifest", manifest, "--out", str(tmp_path / "out"), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "flags",
         [["--k", "0"], ["--k", "-1"], ["--n-fft-grid", "64,abc"], ["--psd-thr-grid", "0.1,x"]],

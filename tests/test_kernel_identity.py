@@ -1,7 +1,9 @@
-"""Byte identity of the maxpool, dropout and ReLU layers against oracle kernels.
+"""Byte identity of the conv forward and the maxpool, dropout and ReLU
+layers against oracle kernels.
 
-The oracle classes below are the straightforward kernels: maxpool copies
-each 2x2 window into a (..., 4) block and uses argmax with
+The oracles below are the straightforward kernels: the conv forward builds
+the whole batch's zero-padded im2col and runs one batched ``np.matmul``,
+maxpool copies each 2x2 window into a (..., 4) block and uses argmax with
 take/put_along_axis, dropout multiplies by a freshly allocated mask, and
 ReLU writes a separate output and keeps an input mask. The layer classes
 must reproduce their outputs, gradients and generator consumption bit for
@@ -20,6 +22,17 @@ DTYPES = (np.float32, np.float64)
 
 
 # --- oracles -------------------------------------------------------------------
+
+
+def oracle_conv_forward(conv, x):
+    """All of the batch's columns at once, then one batched GEMM."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1 : h + 1, 1 : w + 1] = x
+    taps = [xp[:, :, u : u + h, v : v + w] for u in range(3) for v in range(3)]
+    cols = np.stack(taps, axis=2).reshape(n, c * 9, h * w)
+    out = np.matmul(conv.w.value.reshape(conv.out_ch, c * 9), cols) + conv.b.value[None, :, None]
+    return out.reshape(n, conv.out_ch, h, w)
 
 
 class OracleMaxPool2x2:
@@ -135,6 +148,33 @@ def _same_bytes(a, b):
 def _pool_grad(x, dtype, seed):
     n, c, h, w = x.shape
     return _random((n, c, h // 2, w // 2), dtype, seed)
+
+
+# --- conv forward ------------------------------------------------------------------
+
+# (batch, in_ch, out_ch, H, W): batch 1, 10 and 32, odd H and W, H = 1, and
+# light's second conv at batch 32.
+CONV_SHAPES = {
+    "b1": (1, 3, 4, 8, 10),
+    "b1-h1": (1, 2, 3, 1, 5),
+    "b10-odd": (10, 2, 5, 7, 9),
+    "b10-h1": (10, 3, 4, 1, 9),
+    "b32": (32, 3, 8, 6, 10),
+    "b32-odd": (32, 4, 6, 9, 13),
+    "b32-light-conv2": (32, 16, 32, 16, 62),
+}
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", list(CONV_SHAPES))
+def test_conv_forward_matches_oracle(shape, dtype, train):
+    n, c_in, c_out, h, w = CONV_SHAPES[shape]
+    conv = L.Conv3x3(c_in, c_out, rng=np.random.default_rng(0), dtype=dtype)
+    conv.b.value[...] = _random((c_out,), dtype, 1)
+    for seed in (2, 3):  # the second call reuses the layer's workspaces
+        x = _random((n, c_in, h, w), dtype, seed)
+        _same_bytes(conv.forward(x, train), oracle_conv_forward(conv, x))
 
 
 # --- maxpool ---------------------------------------------------------------------

@@ -116,6 +116,14 @@ class TestFit:
         with pytest.raises(ConfigError):
             TrainConfig(weight_decay=-0.01)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "huge-int"]
+    )
+    @pytest.mark.parametrize("name", ["lr", "weight_decay"])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(**{name: value})
+
     def test_notes_flag_unspecified_defaults(self):
         train_x, train_y = _blob_dataset(n_per_class=4, seed=8)
         net = build_model("light", seed=0)

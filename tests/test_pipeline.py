@@ -85,6 +85,16 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             dataclasses.replace(PipelineConfig(), **data)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), -(10**400)], ids=["nan", "inf", "-inf", "huge-int"]
+    )
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PipelineConfig) if type(f.default) is float])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            PipelineConfig(**{name: value})
+        with pytest.raises(ConfigError, match=name):
+            PipelineConfig.from_json(json.dumps({name: value}))  # json writes NaN and Infinity
+
     def test_header_embeds_config(self):
         cfg = PipelineConfig(seed=3)
         lines = cfg.header_lines("infer")
