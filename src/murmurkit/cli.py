@@ -16,7 +16,7 @@ from pathlib import Path
 from . import aggregate, pipeline, resources, uq
 from .dataset import Split
 from .errors import ConfigError, MurmurKitError
-from .nn import Variant, load_network, variant_specs
+from .nn import Network, Variant, load_network, variant_specs
 from .pipeline import PipelineConfig
 
 
@@ -52,6 +52,12 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         cfg = PipelineConfig.from_json(_require(args.config, "config file").read_text(encoding="utf-8"))
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)}
     return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _load(args: argparse.Namespace, cfg: PipelineConfig) -> tuple[Network, PipelineConfig]:
+    """The network in --weights, and the config with that network's variant."""
+    net = load_network(_require(args.weights, "weights directory"))
+    return net, dataclasses.replace(cfg, variant=net.variant.value)
 
 
 def _write(path: Path, text: str, what: str) -> None:
@@ -98,7 +104,7 @@ def _cmd_cv(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def _cmd_infer(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
-    net = load_network(_require(args.weights, "weights directory"))
+    net, cfg = _load(args, cfg)
     feats = pipeline.eval_features(manifest, base, Split(args.split), cfg)
     result = pipeline.infer_patients(net, feats, cfg, selective=args.selective)
     _write(args.out, pipeline.infer_report(result, cfg), "predictions")
@@ -110,7 +116,7 @@ def _cmd_infer(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def _cmd_quantize(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
-    net = load_network(_require(args.weights, "weights directory"))
+    net, cfg = _load(args, cfg)
     outcome = pipeline.quantize_run(net, manifest, base, cfg, args.out)
     ratio = outcome.float_payload_bytes / outcome.int8_payload_bytes
     print(f"int8 weights at {outcome.qweights_dir}")
@@ -127,12 +133,8 @@ def _cmd_resources(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     except ValueError:
         raise ConfigError(f"--input-shape must look like 1x33x124, got {args.input_shape!r}") from None
     if args.weights:
-        net = load_network(_require(args.weights, "weights directory"))
-        specs, variant = net.specs, net.variant.value
-    else:
-        variant = cfg.variant
-        specs = variant_specs(Variant(variant))
-    report = resources.analyze(specs, input_shape=(c, h, w), dtype_width=args.dtype_width, variant=variant)
+        _, cfg = _load(args, cfg)
+    report = resources.analyze(variant_specs(Variant(cfg.variant)), (c, h, w), args.dtype_width)
     text = "\n".join(cfg.header_lines("resources")) + "\n" + report.to_tsv()
     if args.out:
         _write(args.out, text, "resource report")
@@ -143,7 +145,7 @@ def _cmd_resources(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def _cmd_uq_report(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest, base = pipeline.load_manifest_dir(_require(args.manifest, "manifest"))
-    net = load_network(_require(args.weights, "weights directory"))
+    net, cfg = _load(args, cfg)
     _write(args.out, pipeline.uq_report(net, manifest, base, Split(args.split), cfg), "UQ report")
     return 0
 

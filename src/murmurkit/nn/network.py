@@ -48,6 +48,15 @@ class LayerSpec:
     out_ch: int = 0
     p: float = 0.0
 
+    @property
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Weight and bias shapes, in parameter order; () for a layer without parameters."""
+        if self.kind is LayerKind.CONV3X3:
+            return (self.out_ch, self.in_ch, 3, 3), (self.out_ch,)
+        if self.kind is LayerKind.LINEAR:
+            return (self.out_ch, self.in_ch), (self.out_ch,)
+        return ()
+
 
 DROPOUT_P = 0.1
 
@@ -109,6 +118,7 @@ class Network:
                 self.layers.append(None)  # handled in forward
             else:  # pragma: no cover
                 raise ConfigError(f"unknown layer kind {spec.kind}")
+        self.stem_end = next((i for i, s in enumerate(specs) if s.kind is LayerKind.DROPOUT), len(specs))
         self._steps = L.backward_plan(self.layers)
         L.share_scratch(self.layers)
         self._probs: np.ndarray | None = None  # a train pass's output, kept for its backward
@@ -174,19 +184,17 @@ class Network:
         return h
 
     def stem(self, x: np.ndarray) -> tuple[int, np.ndarray]:
-        """Eval output of the layers before the first Dropout, and that
-        layer's index: where ``forward(..., start=...)`` resumes.
+        """Eval output of the layers before ``stem_end``, the first dropout's
+        index found when the network is built, and that index: where
+        ``forward(..., start=...)`` resumes.
 
         The stem is deterministic in every mode, so MC dropout runs it once
         per segment. The output is a workspace view that the next pass
         through the stem overwrites.
         """
-        start = next(
-            (i for i, l in enumerate(self.layers) if isinstance(l, L.Dropout)), len(self.layers)
-        )
-        h = self._run(x, 0, start, False, False, None)
+        h = self._run(x, 0, self.stem_end, False, False, None)
         self._probs = None
-        return start, h
+        return self.stem_end, h
 
     def _run(self, x, lo: int, hi: int, train: bool, dropout_active: bool, rng) -> np.ndarray:
         if lo:

@@ -8,16 +8,18 @@ which is exact and equals int32 accumulation, because every product is an
 integer and ``_check_accumulator_bound`` keeps every partial sum below 2^31,
 far inside float64's exact integer range of 2^53. Pooling runs on int8
 directly (max) or as the exact float64 mean (average); softmax stays in real
-arithmetic. Every conv is followed by a ReLU, which is always fused into
-it, and the final linear layer gives the logits. Like a microcontroller,
-the twin runs one input at a time, both in ``qforward`` and when
-calibrating, so its memory does not depend on how many inputs it is given.
-Int8 weights use the container of ``nn.network``, adding ``input_q``,
-``op`` and ``act_q`` rows and a scale column on each tensor row.
+arithmetic. One rule, ``_int8_layers``, maps a variant's float layers to the
+twin: dropout is elided, and each ReLU fuses into the conv before it. Like a
+microcontroller, the twin runs one input at a time, both in ``qforward`` and
+when calibrating, so its memory does not depend on how many inputs it is
+given. Int8 weights use the container of ``nn.network``, adding ``input_q``,
+``op`` and ``act_q`` rows and a scale column on each tensor row; loading
+checks tensor shapes against ``LayerSpec.param_shapes``, building no network.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +33,6 @@ from .nn.network import (
     Network,
     Row,
     Variant,
-    build_model,
     check_rows,
     layer_rows,
     malformed_rows,
@@ -102,9 +103,12 @@ class _QOp:
     out_q: ActQuant | None = None  # set for convs only
 
 
-def qspecs(variant: Variant) -> list[LayerSpec]:
-    """The int8 layer stack of a variant: its float stack without dropout."""
-    return [s for s in variant_specs(variant) if s.kind is not LayerKind.DROPOUT]
+def _int8_layers(specs: list[LayerSpec]) -> tuple[list[LayerSpec], list[tuple[int, LayerSpec]]]:
+    """The int8 rule: dropout is elided, and each ReLU fuses into the conv
+    before it. Returns the twin's layer stack (its layer rows keep the ReLUs)
+    and its ops as (float layer index, spec) pairs."""
+    ops = [(i, s) for i, s in enumerate(specs) if s.kind not in (LayerKind.DROPOUT, LayerKind.RELU)]
+    return [s for s in specs if s.kind is not LayerKind.DROPOUT], ops
 
 
 class QNetwork:
@@ -112,7 +116,7 @@ class QNetwork:
 
     def __init__(self, variant: Variant, input_q: ActQuant, ops: list[_QOp]):
         self.variant = variant
-        self.specs = qspecs(variant)
+        self.specs = _int8_layers(variant_specs(variant))[0]
         self.input_q = input_q
         self.ops = ops
 
@@ -122,13 +126,8 @@ class QNetwork:
 
 def _check_accumulator_bound(specs: list[LayerSpec]) -> None:
     # int8 activation minus zero point spans [-255, 255]; weights span +/-127.
-    for spec in specs:
-        if spec.kind is LayerKind.CONV3X3:
-            reduce_len = spec.in_ch * 9
-        elif spec.kind is LayerKind.LINEAR:
-            reduce_len = spec.in_ch
-        else:
-            continue
+    for weight in (spec.param_shapes[0] for spec in specs if spec.param_shapes):
+        reduce_len = math.prod(weight[1:])
         if reduce_len * 255 * _QMAX >= _ACC_LIMIT:
             raise OverflowError(
                 f"int32 accumulator bound violated: {reduce_len} * 255 * 127 >= 2^31"
@@ -139,11 +138,11 @@ def _build(variant: Variant, tensors: dict[str, QTensor], act: dict[str, ActQuan
     """The twin of ``variant`` from its ``op<i>.w``/``op<i>.b`` tensors and
     its activation parameters, keyed ``input_q`` or by conv op index."""
     ops = []
-    for i, kind in enumerate(s.kind for s in qspecs(variant) if s.kind is not LayerKind.RELU):
-        op = _QOp(kind)
-        if kind in (LayerKind.CONV3X3, LayerKind.LINEAR):
+    for i, (_, spec) in enumerate(_int8_layers(variant_specs(variant))[1]):
+        op = _QOp(spec.kind)
+        if spec.param_shapes:
             op.w, op.b_q = tensors.get(f"op{i}.w"), tensors.get(f"op{i}.b")
-        if kind is LayerKind.CONV3X3:
+        if spec.kind is LayerKind.CONV3X3:
             op.out_q = act.get(str(i))
         ops.append(op)
     return QNetwork(variant, act["input_q"], ops)
@@ -166,13 +165,12 @@ def quantize_network(net: Network, calibration: np.ndarray) -> QNetwork:
         raise NumericError("calibration inputs must be finite")
     if net.specs != variant_specs(net.variant):
         raise ConfigError(f"only the {net.variant.value} variant stack can be quantized")
-    _check_accumulator_bound(qspecs(net.variant))
+    _check_accumulator_bound(net.specs)
 
-    skipped = (LayerKind.DROPOUT, LayerKind.RELU)
-    kept = [(s, l) for s, l in zip(net.specs, net.layers) if s.kind not in skipped]
+    kept = [(s, net.layers[j]) for j, s in _int8_layers(net.specs)[1]]
     tensors: dict[str, QTensor] = {}
     for i, (spec, layer) in enumerate(kept):
-        if spec.kind in (LayerKind.CONV3X3, LayerKind.LINEAR):
+        if spec.param_shapes:
             tensors[f"op{i}.w"] = quantize_tensor(layer.w.value)
             tensors[f"op{i}.b"] = quantize_tensor(layer.b.value)
 
@@ -274,8 +272,8 @@ def _scale(text: str) -> float:
 
 def load_qnetwork(weights_dir: str | Path) -> QNetwork:
     """Load int8 weights; every row must be what ``save_qnetwork`` would
-    write for the network read back, with the tensor shapes of the float
-    network of the same variant. Scales must be positive and at most
+    write for the network read back, with the ``param_shapes`` of the
+    variant's layers as tensor shapes. Scales must be positive and at most
     ``_MAX_SCALE``, and zero points int8 values."""
     variant, rows = read_weights(weights_dir, _QWEIGHTS_FORMAT, "i1")
     tensors, act = {}, {}
@@ -292,6 +290,6 @@ def load_qnetwork(weights_dir: str | Path) -> QNetwork:
         qnet = _build(variant, tensors, act)
     check_rows(weights_dir, rows, _rows(qnet))
     shapes = [row[1].shape for row in rows if isinstance(row, tuple)]
-    if shapes != [p.value.shape for p in build_model(variant, seed=0).parameters()]:
+    if shapes != [shape for spec in variant_specs(variant) for shape in spec.param_shapes]:
         raise ParseError(f"{weights_dir}: tensor shapes differ from the {variant.value} network")
     return qnet

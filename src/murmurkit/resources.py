@@ -1,15 +1,17 @@
 """Static resource analysis: parameter counts, MACC, and memory footprints.
 
 Parameter and MACC counts follow the usual conventions for embedded NN
-report tools: a conv layer costs out_ch * (in_ch * 9 + 1) parameters and
-outH * outW * out_ch * in_ch * 9 MACC per sample; pooling, activations, and
-dropout are free. The RAM figure is a documented upper bound (largest
-input-plus-output activation pair); it does not model the buffer fusion a
-vendor optimizer performs, so published RAM rows are not reproduced.
+report tools: a layer costs the sizes of its ``LayerSpec.param_shapes`` in
+parameters, and its weight size times its output positions in MACC per
+sample, so pooling, activations, and dropout are free. The RAM figure is a
+documented upper bound (largest input-plus-output activation pair); it does
+not model the buffer fusion a vendor optimizer performs, so published RAM
+rows are not reproduced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ShapeError
@@ -32,7 +34,6 @@ class LayerResource:
 
 @dataclass(frozen=True)
 class ResourceReport:
-    variant: str
     input_shape: tuple[int, int, int]
     dtype_width: int
     params: int
@@ -69,18 +70,11 @@ def _specs_of(net) -> list[LayerSpec]:
 
 
 def _layer_params(spec: LayerSpec) -> int:
-    if spec.kind is LayerKind.CONV3X3:
-        return spec.out_ch * (spec.in_ch * 9 + 1)
-    if spec.kind is LayerKind.LINEAR:
-        return spec.out_ch * (spec.in_ch + 1)
-    return 0
+    return sum(math.prod(shape) for shape in spec.param_shapes)
 
 
 def analyze(
-    net,
-    input_shape: tuple[int, int, int] = DEFAULT_INPUT_SHAPE,
-    dtype_width: int = 4,
-    variant: str = "",
+    net, input_shape: tuple[int, int, int] = DEFAULT_INPUT_SHAPE, dtype_width: int = 4
 ) -> ResourceReport:
     """Propagate shapes through the layer stack and total the per-layer costs."""
     if dtype_width not in (1, 4):
@@ -98,11 +92,9 @@ def analyze(
     )
     activations = [c * h * w]
     for i, spec in enumerate(specs):
-        macc = 0
         if spec.kind is LayerKind.CONV3X3:
             if c != spec.in_ch:
                 raise ShapeError(f"layer {i}: input has {c} channels, conv expects {spec.in_ch}")
-            macc = h * w * spec.out_ch * spec.in_ch * 9
             c = spec.out_ch
         elif spec.kind is LayerKind.MAXPOOL2X2:
             if h < 2 or w < 2:
@@ -115,7 +107,6 @@ def analyze(
                 raise ShapeError(
                     f"layer {i}: linear expects {spec.in_ch} features, got {c * h * w}"
                 )
-            macc = spec.in_ch * spec.out_ch
             c, h, w = spec.out_ch, 1, 1
         per_layer.append(
             LayerResource(
@@ -125,7 +116,7 @@ def analyze(
                 out_ch=spec.out_ch,
                 out_shape=(c, h, w),
                 params=_layer_params(spec),
-                macc=macc,
+                macc=sum(math.prod(shape) for shape in spec.param_shapes[:1]) * h * w,
                 activation_elems=c * h * w,
             )
         )
@@ -137,9 +128,7 @@ def analyze(
         (activations[i] + activations[i + 1]) * dtype_width
         for i in range(len(activations) - 1)
     )
-    variant_name = variant or getattr(getattr(net, "variant", None), "value", "")
     return ResourceReport(
-        variant=variant_name,
         input_shape=input_shape,
         dtype_width=dtype_width,
         params=params,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .nn.layers import Dropout
 from .nn.network import Network
 
 ENTROPY_MODES = ("entropy_of_mean", "mean_of_entropies")
@@ -126,7 +125,7 @@ def mcd_predict_batch(
         raise ConfigError(f"entropy_mode must be one of {ENTROPY_MODES}, got {entropy_mode!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    if not any(isinstance(l, Dropout) for l in net.layers):
+    if net.stem_end == len(net.layers):
         raise ConfigError("network has no dropout layers; MC-Dropout is undefined")
     inputs = np.asarray(inputs, dtype=np.float32)
     out = []

@@ -6,6 +6,7 @@ import pytest
 
 from murmurkit.cli import run
 from murmurkit.dataset import read_manifest
+from murmurkit.nn import build_model, save_network
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +169,21 @@ class TestTrainInferQuantize:
         )
         assert code == 0
         assert "\tCS\t" in out.read_text().splitlines()[2]
+
+    @pytest.mark.parametrize("command", ["infer", "uq-report", "resources"])
+    def test_header_names_the_variant_of_the_weights(self, corpus_dir, tmp_path, command):
+        # The config asks for the default variant; the weights hold another.
+        weights = tmp_path / "baseline"
+        save_network(build_model("baseline", seed=0), weights)
+        out = tmp_path / "report.tsv"
+        args = [command, "--weights", str(weights), "--out", str(out)]
+        if command != "resources":
+            args += ["--manifest", str(corpus_dir / "manifest.tsv"), "--split", "Validation"]
+        assert run(args) == 0
+        lines = out.read_text().splitlines()
+        assert json.loads(lines[1].split("\t", 1)[1])["variant"] == "baseline"
+        if command == "resources":
+            assert "# total_params\t388354" in lines
 
     def test_cv_smoke(self, corpus_dir, tmp_path):
         out = tmp_path / "cv.tsv"

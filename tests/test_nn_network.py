@@ -7,6 +7,7 @@ from murmurkit import resources
 from murmurkit.errors import ConfigError, ParseError, ShapeError, StateError
 from murmurkit.nn import (
     LayerKind,
+    Network,
     Variant,
     build_model,
     load_network,
@@ -25,6 +26,12 @@ class TestBuildModel:
         total = sum(p.value.size for p in net.parameters())
         assert total == EXPECTED_PARAMS[variant]
         assert resources.count_params(net) == EXPECTED_PARAMS[variant]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_param_shapes_match_the_built_parameters(self, variant):
+        net = build_model(variant, seed=0)
+        want = [p.value.shape for p in net.parameters()]
+        assert [shape for s in net.specs for shape in s.param_shapes] == want
 
     def test_light_stack_structure(self):
         kinds = [s.kind for s in variant_specs(Variant.LIGHT)]
@@ -198,6 +205,21 @@ class TestModes:
 
 
 class TestStem:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_stem_index_is_the_first_dropout(self, variant):
+        net = build_model(variant, seed=0)
+        first = [s.kind for s in net.specs].index(LayerKind.DROPOUT)
+        start, _ = net.stem(np.zeros((1, 1, 16, 16), dtype=np.float32))
+        assert start == net.stem_end == first
+
+    def test_stem_covers_a_stack_without_dropout(self):
+        specs = [s for s in variant_specs(Variant.LIGHT) if s.kind is not LayerKind.DROPOUT]
+        net = Network(Variant.LIGHT, specs, rng=np.random.default_rng(0))
+        x = np.random.default_rng(2).standard_normal((2, 1, 16, 16)).astype(np.float32)
+        start, h = net.stem(x)
+        assert start == len(specs)
+        assert h.tobytes() == net.forward(x, mode="eval").tobytes()
+
     def test_stem_ends_before_the_first_dropout(self):
         net = build_model("baseline", seed=0)
         x = np.random.default_rng(4).standard_normal((3, 1, 33, 124)).astype(np.float32)

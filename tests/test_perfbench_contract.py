@@ -69,3 +69,12 @@ def test_network_probe_times_are_finite_and_positive():
         "network.forward_mcd_ms",
     }
     assert all(math.isfinite(v) and v > 0 for v in times.values()), times
+
+
+@pytest.mark.parametrize(
+    "variant, gflops", [("light", 19.46304), ("baseline", 110.884608), ("heavy", 1325.624832)]
+)
+def test_conv_gflops_reads_the_conv_macc(variant, gflops):
+    # At one input in one millisecond this is 2 * conv MACC / 1e6, so it
+    # holds only while analyze(specs).per_layer stays aligned with the specs.
+    assert probes.conv_gflops(variant, 1, 1.0) == pytest.approx(gflops, rel=1e-12)

@@ -238,6 +238,19 @@ class TestQWeightsIO:
         np.testing.assert_allclose(qforward(loaded, x), qforward(qnet, x), atol=1e-12)
         assert loaded.weight_payload_bytes() == qnet.weight_payload_bytes()
 
+    def test_load_builds_no_float_network(self, light_pair, tmp_path, monkeypatch):
+        # Tensor shapes are checked against the layer specs, so loading never
+        # initializes float weights.
+        _, qnet = light_pair
+        save_qnetwork(qnet, tmp_path / "q")
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_qnetwork initialized float weights")
+
+        monkeypatch.setattr("murmurkit.nn.layers.he_uniform", no_init)
+        loaded = load_qnetwork(tmp_path / "q")
+        assert [op.kind for op in loaded.ops] == [op.kind for op in qnet.ops]
+
     def test_checksum_guard(self, light_pair, tmp_path):
         _, qnet = light_pair
         save_qnetwork(qnet, tmp_path / "q")

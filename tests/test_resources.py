@@ -97,7 +97,7 @@ class TestReport:
             assert report.macc == sum(lr.macc for lr in report.per_layer)
 
     def test_tsv_contains_totals(self):
-        report = analyze(variant_specs(Variant.LIGHT), variant="light")
+        report = analyze(variant_specs(Variant.LIGHT))
         text = report.to_tsv()
         assert "# total_params\t23426" in text
         assert "91.5 KiB" in text
