@@ -5,6 +5,12 @@ pooling, where linear layers flatten to (N, C). Convolutions are 3x3 with
 stride 1 and zero padding 1, via im2col one sample at a time, so each
 sample's product is a single GEMM.
 
+A train pass runs ``train_plan``: each Conv3x3 -> ReLU -> Dropout ->
+MaxPool2x2 block as one ``PooledConvBlock``, a sample at a time, and each
+other ReLU -> Dropout tail as one ``ActivationTail``, with the per-layer
+chain's outputs and parameter gradients. Eval and MC passes run layer by
+layer.
+
 Hot layers take their buffers from a ``_Scratch``: on a small host,
 repeatedly mallocing multi-megabyte temporaries costs more in page faults
 than the arithmetic itself. Each layer owns one for what outlives a call:
@@ -33,6 +39,11 @@ from ..errors import ConfigError, LabelError, ShapeError, StateError
 def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, dtype) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+def _initial_weight(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator | None, dtype) -> np.ndarray:
+    """He-uniform weights, or zeros without an rng (for a loader that sets every weight)."""
+    return np.zeros(shape, dtype) if rng is None else he_uniform(shape, fan_in, rng, dtype)
 
 
 class _Scratch:
@@ -147,6 +158,23 @@ def max_pool_2x2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _winner_code(x: np.ndarray, out: np.ndarray, code: np.ndarray, hit: np.ndarray) -> None:
+    """Write into ``code`` the index of the first corner of each window of x
+    equal to its max ``out``: the one argmax over the window picks and whose
+    value the forward returns, so even a +0/-0 tie matches; for finite values
+    this is byte for byte the oracle in tests/test_kernel_identity.py.
+    ``hit`` is a bool buffer of ``out``'s shape."""
+    # 0 if c00 == max else 1 + (c01 != max) * (1 + (c10 != max)).
+    c00, c01, c10, _ = _corner_views(x)
+    np.not_equal(c10, out, out=code)
+    code += 1
+    np.not_equal(c01, out, out=hit)
+    code *= hit
+    code += 1
+    np.not_equal(c00, out, out=hit)
+    code *= hit
+
+
 def _route_to_winners(grad: np.ndarray, code: np.ndarray, dx: np.ndarray, hit: np.ndarray) -> None:
     """Write the pooled-size ``grad`` into ``dx`` at each window's winner
     corner, as ``code`` from MaxPool2x2.forward names it. The other corners
@@ -219,10 +247,10 @@ class Conv3x3:
     batch itself.
     """
 
-    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator | None, dtype=np.float32):
         self.in_ch = in_ch
         self.out_ch = out_ch
-        w = he_uniform((out_ch, in_ch, 3, 3), fan_in=in_ch * 9, rng=rng, dtype=dtype)
+        w = _initial_weight((out_ch, in_ch, 3, 3), in_ch * 9, rng, dtype)
         self.w = Param("w", w)
         self.b = Param("b", np.zeros(out_ch, dtype=dtype))
         self._cache = None
@@ -262,31 +290,39 @@ class Conv3x3:
             raise StateError("conv backward without cached forward")
         x = self._cache
         self._cache = None
+        return self._backward(x, grad.reshape(len(x), self.out_ch, -1), input_grad)
+
+    def _backward(self, x: np.ndarray, grads, input_grad: bool) -> np.ndarray | None:
+        """``backward`` from the cached input ``x`` and ``grads``, each
+        sample's (out_ch, H*W) output gradient in sample order. Each sample's
+        weight and bias terms are added in sample order, as a sum over the
+        batch adds them."""
         n, c, h, w = x.shape
-        g = grad.reshape(n, self.out_ch, h * w)
-        dw_shape = (self.out_ch, self.in_ch * 9)
-        taps, col, (dw, term) = self._im2col(x, (dw_shape, g.dtype), (dw_shape, g.dtype))
+        dw_shape, b_shape = (self.out_ch, self.in_ch * 9), (self.out_ch,)
+        layout = [(dw_shape, x.dtype), (dw_shape, x.dtype), (b_shape, x.dtype), (b_shape, x.dtype)]
+        taps, col, (dw, dw_term, db, db_term) = self._im2col(x, *layout)
         col_taps, col_t, dcol_taps = col.reshape(c, 3, 3, h, w), col.T, _col2im3x3(col, c, h, w)
         wm_t = self.w.value.reshape(dw_shape).T
         dx = self._ws.get("dx", x.shape, col.dtype) if input_grad else None
         if dx is not None:
             dx[...] = 0
-        for i in range(n):
+        for i, g in enumerate(grads):
             np.copyto(col_taps, taps[i])
-            # One dW GEMM per sample over the strided (H*W, 9*in) view,
-            # summed in sample order as a sum over a stack of them would be.
-            np.matmul(g[i], col_t, out=term if i else dw)
+            # One dW GEMM per sample over the strided (H*W, 9*in) view.
+            np.matmul(g, col_t, out=dw_term if i else dw)
+            np.sum(g, axis=1, out=db_term if i else db)
             if i:
-                dw += term
+                dw += dw_term
+                db += db_term
             if dx is not None:
                 # The dW GEMM was the last reader of the sample's columns:
                 # they take its input-gradient columns.
-                np.matmul(wm_t, g[i], out=col)
+                np.matmul(wm_t, g, out=col)
                 dx_i = dx[i]
                 for index, plane in dcol_taps:
                     dx_i[index] += plane
         self.w.grad += dw.reshape(self.w.value.shape)
-        self.b.grad += g.sum(axis=(0, 2))
+        self.b.grad += db
         return dx
 
 
@@ -421,21 +457,8 @@ class MaxPool2x2:
         max_pool_2x2(x, out)
         self._cache = None
         if train:
-            # Winner code: index of the first corner equal to the max, the
-            # one argmax over the window picks and whose value the forward
-            # returns, so even a +0/-0 tie matches; for finite values this
-            # is byte for byte the oracle in tests/test_kernel_identity.py.
-            # 0 if c00 == max else 1 + (c01 != max) * (1 + (c10 != max)).
-            c00, c01, c10, _ = _corner_views(x)
             code = self._ws.get("code", out.shape, np.uint8)
-            hit = self._ws.get("hit", out.shape, np.bool_)
-            np.not_equal(c10, out, out=code)
-            code += 1
-            np.not_equal(c01, out, out=hit)
-            code *= hit
-            code += 1
-            np.not_equal(c00, out, out=hit)
-            code *= hit
+            _winner_code(x, out, code, self._ws.get("hit", out.shape, np.bool_))
             self._cache = (code, out, x.shape)
         return out
 
@@ -451,9 +474,18 @@ class MaxPool2x2:
         return dx
 
 
+def _live_grad(grad: np.ndarray, out: np.ndarray, scale, live: np.ndarray, g: np.ndarray) -> None:
+    """Write ``(grad * (out > 0)) * scale`` into ``g``, without the scale
+    when it is None; ``live`` takes the mask."""
+    np.greater(out, 0, out=live)
+    np.multiply(grad, live, out=g)
+    if scale is not None:
+        g *= scale
+
+
 class ActivationTail:
-    """Backward of a block tail, ReLU -> Dropout with or without a following
-    MaxPool2x2, as one kernel that reads its mask from the tail's output.
+    """A block tail, ReLU -> Dropout with or without a following MaxPool2x2,
+    whose backward is one kernel that reads its mask from the tail's output.
 
     The dropout output is relu(x) * gate * scale with scale >= 1, so it is
     > 0 exactly where the element passed both the ReLU and the gate, and a
@@ -473,11 +505,18 @@ class ActivationTail:
     into the full-size activation once the mask has been read (the
     memory-sharing half of Chen et al. 2016, section 3), and the ReLU's
     cache is cleared, since that activation now holds a gradient.
+
+    ``train_plan`` fuses only unpooled tails; a pooled block runs as one
+    ``PooledConvBlock``.
     """
 
     def __init__(self, relu: ReLU, dropout: Dropout, pool: MaxPool2x2 | None = None):
         self.relu, self.dropout, self.pool = relu, dropout, pool
         self._ws = _Scratch()
+
+    def forward(self, x: np.ndarray, rng) -> np.ndarray:
+        """Train-mode forward of an unpooled tail."""
+        return self.dropout.forward(self.relu.forward(x, True), True, active=True, rng=rng)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self.relu._out is None or (self.pool is not None and self.pool._cache is None):
@@ -487,45 +526,100 @@ class ActivationTail:
         else:
             _, scale, act = self.dropout._cache
         self.relu._out = None
-        out = act
-        if self.pool is not None:
-            code, out, _ = self.pool._cache
-        live = self._ws.get("live", out.shape, np.bool_)
-        np.greater(out, 0, out=live)
-        # Nothing reads the full-size activation after the mask: it takes
-        # the input gradient.
-        g = act if self.pool is None else self._ws.get("g", grad.shape, grad.dtype)
-        np.multiply(grad, live, out=g)
-        if scale is not None:
-            g *= scale
-        if self.pool is not None:
-            _route_to_winners(g, code, act, self._ws.get("hit", code.shape, np.bool_))
+        if self.pool is None:
+            # Nothing reads the full-size activation after the mask: it
+            # takes the input gradient.
+            _live_grad(grad, act, scale, self._ws.get("live", act.shape, np.bool_), act)
+            return act
+        code, out, _ = self.pool._cache
+        g = self._ws.get("g", grad.shape, grad.dtype)
+        _live_grad(grad, out, scale, self._ws.get("live", out.shape, np.bool_), g)
+        _route_to_winners(g, code, act, self._ws.get("hit", code.shape, np.bool_))
         return act
 
 
+class PooledConvBlock:
+    """Train pass of a Conv3x3 -> ReLU -> Dropout -> MaxPool2x2 block, one
+    sample at a time in both directions, so that only the pooled output and
+    its winner code exist for the whole batch (MCUNetV2's patch-by-patch
+    stage, Lin et al. 2021, arXiv:2110.15352, with a sample as the patch).
+    Gates drawn sample by sample consume the generator as one batch draw
+    does, and the backward is ActivationTail's pooled one, sample by sample,
+    so outputs and parameter gradients are the per-layer chain's bytes. The
+    layers' own caches hold the block's state, so an eval pass through them
+    clears it.
+    """
+
+    def __init__(self, conv: Conv3x3, dropout: Dropout, pool: MaxPool2x2):
+        self.conv, self.dropout, self.pool = conv, dropout, pool
+        self._ws = _Scratch()
+
+    def forward(self, x: np.ndarray, rng) -> np.ndarray:
+        conv, pool = self.conv, self.pool
+        n, _, h, w = x.shape
+        pooled = pool._ws.get("out", (n, conv.out_ch, h // 2, w // 2), x.dtype)
+        code = pool._ws.get("code", pooled.shape, np.uint8)
+        hit = pool._ws.get("hit", (1, *pooled.shape[1:]), np.bool_)
+        for i in range(n):
+            # The conv's one-row output, in place through ReLU and dropout.
+            act = conv.forward(x[i : i + 1], False)
+            np.maximum(act, 0, out=act)
+            self.dropout.forward(act, True, active=True, rng=rng)
+            max_pool_2x2(act, pooled[i : i + 1])
+            _winner_code(act, pooled[i : i + 1], code[i : i + 1], hit)
+        conv._cache = x
+        pool._cache = (code, pooled, (n, conv.out_ch, h, w))
+        return pooled
+
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """The conv's ``backward`` for the pooled-size ``grad``."""
+        conv, pool = self.conv, self.pool
+        if conv._cache is None or pool._cache is None:
+            raise StateError("conv block backward without cached forward")
+        x, (code, pooled, (_, c, h, w)) = conv._cache, pool._cache
+        conv._cache = pool._cache = None
+        scale = None if self.dropout._cache is None else self.dropout._cache[1]
+        # The forward's one-row conv output is free: it takes each sample's
+        # conv-output gradient.
+        g = conv._ws.get("out", (1, c, h, w), grad.dtype)
+        one = (1, *pooled.shape[1:])
+        live, g_pooled = self._ws.get("live", one, np.bool_), self._ws.get("g", one, grad.dtype)
+        hit = pool._ws.get("hit", one, np.bool_)
+
+        def sample_grads():
+            for i in range(len(x)):
+                _live_grad(grad[i : i + 1], pooled[i : i + 1], scale, live, g_pooled)
+                _route_to_winners(g_pooled, code[i : i + 1], g, hit)
+                yield g.reshape(c, h * w)
+
+        return conv._backward(x, sample_grads(), input_grad)
+
+
 # Bound at import: a layer class later swapped into this module (an oracle
-# under test) has other caches, so it keeps its own backward.
-_TAIL_KINDS = (ReLU, Dropout, MaxPool2x2)
+# under test) has other caches, so it is never fused.
+_FUSED_KINDS = (Conv3x3, ReLU, Dropout, MaxPool2x2)
 
 
-def backward_plan(layers: list) -> list:
-    """The objects whose ``backward`` a backward pass calls, in forward
-    order: ``layers`` without None entries, each ReLU -> Dropout
-    (-> MaxPool2x2) run of this module's classes fused into one
-    ActivationTail. The per-layer backward methods stay, for stacks without
-    that pattern and as the reference."""
-    relu, dropout, pool = _TAIL_KINDS
+def train_plan(layers: list) -> list:
+    """The objects a train pass runs, forward in order and backward in
+    reverse: ``layers`` with each Conv3x3 -> ReLU -> Dropout -> MaxPool2x2
+    run of this module's classes as one PooledConvBlock and each other
+    ReLU -> Dropout run as one ActivationTail. The per-layer methods stay,
+    for eval and MC passes, for stacks without that pattern and as the
+    reference."""
+    conv, relu, dropout, pool = _FUSED_KINDS
     steps, i = [], 0
     while i < len(layers):
-        kinds = [type(layer) for layer in layers[i : i + 3]]
-        if kinds[:2] == [relu, dropout]:
-            has_pool = kinds[2:] == [pool]
-            steps.append(ActivationTail(*layers[i : i + 2 + has_pool]))
-            i += 2 + has_pool
-            continue
-        if layers[i] is not None:
+        kinds = [type(layer) for layer in layers[i : i + 4]]
+        if kinds == [conv, relu, dropout, pool]:
+            steps.append(PooledConvBlock(layers[i], layers[i + 2], layers[i + 3]))
+            i += 4
+        elif kinds[:2] == [relu, dropout]:
+            steps.append(ActivationTail(*layers[i : i + 2]))
+            i += 2
+        else:
             steps.append(layers[i])
-        i += 1
+            i += 1
     return steps
 
 
@@ -548,10 +642,10 @@ class GlobalAvgPool:
 
 
 class Linear:
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None, dtype=np.float32):
         self.in_features = in_features
         self.out_features = out_features
-        w = he_uniform((out_features, in_features), fan_in=in_features, rng=rng, dtype=dtype)
+        w = _initial_weight((out_features, in_features), in_features, rng, dtype)
         self.w = Param("w", w)
         self.b = Param("b", np.zeros(out_features, dtype=dtype))
         self._cache = None

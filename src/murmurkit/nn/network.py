@@ -94,9 +94,10 @@ def variant_specs(variant: Variant) -> list[LayerSpec]:
 
 
 class Network:
-    """An ordered layer stack with explicit train/eval/mcd forward modes."""
+    """An ordered layer stack with explicit train/eval/mcd forward modes.
+    Weights are He-uniform draws from ``rng``, or zeros when it is None."""
 
-    def __init__(self, variant: Variant, specs: list[LayerSpec], rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, variant: Variant, specs: list[LayerSpec], rng: np.random.Generator | None, dtype=np.float32):
         self.variant = variant
         self.specs = list(specs)
         self.dtype = dtype
@@ -119,7 +120,7 @@ class Network:
             else:  # pragma: no cover
                 raise ConfigError(f"unknown layer kind {spec.kind}")
         self.stem_end = next((i for i, s in enumerate(specs) if s.kind is LayerKind.DROPOUT), len(specs))
-        self._steps = L.backward_plan(self.layers)
+        self._steps = L.train_plan(self.layers)
         L.share_scratch(self.layers)
         self._probs: np.ndarray | None = None  # a train pass's output, kept for its backward
 
@@ -203,13 +204,15 @@ class Network:
             if x.ndim != 4:
                 raise ShapeError(f"expected (N, C, H, W) input, got shape {x.shape}")
             h = np.ascontiguousarray(x, dtype=self.dtype)
-        for layer in self.layers[lo:hi]:
+        for layer in self._steps if train else self.layers[lo:hi]:
             if layer is None:
                 # softmax computes in float64 for stability; keep the
                 # network dtype so backward does not silently promote
                 h = L.softmax(h).astype(self.dtype)
             elif isinstance(layer, L.Dropout):
                 h = layer.forward(h, train, active=dropout_active, rng=rng)
+            elif isinstance(layer, (L.ActivationTail, L.PooledConvBlock)):
+                h = layer.forward(h, rng)
             else:
                 h = layer.forward(h, train)
         return h
@@ -218,14 +221,12 @@ class Network:
         """Backpropagate mean cross-entropy; returns gradients in parameter order.
 
         The softmax + cross-entropy pair is fused: the gradient entering the
-        final linear layer is (probs - onehot) / N. Each block's ReLU ->
-        Dropout (-> MaxPool2x2) tail runs as one ``ActivationTail``, planned
-        when the network is built; it reads its mask from the tail's output
-        (``pooled > 0`` behind a pool), and its input gradient can differ
-        from the per-layer chain only in the sign of zeros, which no
-        parameter gradient sees. Nothing consumes the gradient of the
-        network input, so a first conv layer computes only its parameter
-        gradients.
+        final linear layer is (probs - onehot) / N. The steps are the train
+        plan's (``layers.train_plan``), made when the network is built; their
+        input gradients can differ from the per-layer chain only in the sign
+        of zeros, which no parameter gradient sees. Nothing consumes the
+        gradient of the network input, so a first conv layer computes only
+        its parameter gradients.
         """
         if self._probs is None:
             raise StateError("backward requires a forward pass in train mode")
@@ -237,9 +238,11 @@ class Network:
         onehot = np.zeros((n, k), dtype=probs.dtype)
         onehot[np.arange(n), labels] = 1
         grad = (probs - onehot) / n
-        first = self.layers[0]
+        first = self._steps[0]
         for step in reversed(self._steps):
-            if step is first and isinstance(step, L.Conv3x3):
+            if step is None:
+                continue
+            if step is first and isinstance(step, (L.Conv3x3, L.PooledConvBlock)):
                 step.backward(grad, input_grad=False)
             else:
                 grad = step.backward(grad)
@@ -356,7 +359,7 @@ def save_network(net: Network, out_dir: str | Path) -> None:
 
 def load_network(weights_dir: str | Path) -> Network:
     variant, rows = read_weights(weights_dir, _WEIGHTS_FORMAT, "<f4")
-    net = build_model(variant, seed=0)
+    net = Network(variant, variant_specs(variant), rng=None)
     check_rows(weights_dir, rows, _rows(net))
     tensors = [row for row in rows if not isinstance(row, str)]
     for name, values, _ in tensors:

@@ -8,8 +8,9 @@ n copies of the segment, and dropout draws one float per element with
 pooling and linear layers are the network's own: only the order of work
 and the dropout draw are under test. Results, pass probabilities and the generator state left
 behind must match bit for bit, in float32 and float64. The parameter
-gradients of ``Network.backward``, which fuses each block's ReLU -> Dropout
-(-> MaxPool2x2) tail, must match those of the per-layer backward chain.
+gradients of a train step, which runs each pooled block as one kernel and
+fuses each other ReLU -> Dropout tail, must match those of the per-layer
+forward and backward chain.
 """
 
 import dataclasses
@@ -258,8 +259,20 @@ def _assert_backward_matches_full_backward(net, x):
     probs = net.forward(x, mode="train", rng=np.random.default_rng(1))
     got = net.backward(labels)
 
+    # The per-layer chain: each layer's own train forward, then each layer's
+    # own backward. A train pass of the network runs each pooled block as
+    # one kernel and leaves no per-layer caches for that chain to read.
     net.zero_grad()
-    _same_bytes(net.forward(x, mode="train", rng=np.random.default_rng(1)), probs)
+    rng = np.random.default_rng(1)
+    h = np.ascontiguousarray(x, dtype=net.dtype)
+    for layer in net.layers:
+        if layer is None:
+            h = L.softmax(h).astype(net.dtype)
+        elif isinstance(layer, L.Dropout):
+            h = layer.forward(h, True, active=True, rng=rng)
+        else:
+            h = layer.forward(h, True)
+    _same_bytes(h, probs)
     onehot = np.zeros_like(probs)
     onehot[np.arange(len(labels)), labels] = 1
     grad = (probs - onehot) / len(labels)

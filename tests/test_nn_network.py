@@ -171,6 +171,21 @@ class TestWeightsIO:
         after = loaded.forward(x, mode="eval")
         np.testing.assert_allclose(before, after, atol=1e-7)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_load_draws_no_weights(self, variant, tmp_path, monkeypatch):
+        # Every weight comes from the file, so loading initializes none.
+        net = build_model(variant, seed=9)
+        net.parameters()[1].value[...] = 0.5  # a non-zero bias
+        save_network(net, tmp_path / "w")
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_network drew initial weights")
+
+        monkeypatch.setattr("murmurkit.nn.layers.he_uniform", no_init)
+        loaded = load_network(tmp_path / "w")
+        want = net.get_weights()
+        assert [w.tobytes() for w in loaded.get_weights()] == [w.tobytes() for w in want]
+
     def test_checksum_detects_corruption(self, tmp_path):
         net = build_model("light", seed=9)
         save_network(net, tmp_path / "w")

@@ -2,17 +2,21 @@
 
 A conv caches its input, not its im2col columns. Every conv of the network
 shares one scratch, laid out as the padded copy of the conv's batch, one
-sample's (C*9, H*W) columns, and the weight-gradient sum and per-sample
-term. The forward and the backward run their GEMMs one sample at a time
-and rebuild that sample's columns from the padded copy, and the backward
-writes the sample's input-gradient columns over them; col2im adds the taps
-straight into a per-conv (N, C, H, W) gradient, with no padded buffer. In
-training, Dropout writes its output over the ReLU output, which is the conv
-output, and each block tail writes its input gradient into that same
+sample's (C*9, H*W) columns, and the weight- and bias-gradient sums and
+per-sample terms. The forward and the backward run their GEMMs one sample
+at a time and rebuild that sample's columns from the padded copy, and the
+backward writes the sample's input-gradient columns over them; col2im adds
+the taps straight into a per-conv (N, C, H, W) gradient, with no padded
+buffer. A pooled block (conv, ReLU, dropout, max-pool) runs one sample at a
+time in both directions, so of its activations only the pooled output and
+its winner code exist for the whole batch; the full-resolution conv output,
+dropout gate and conv-output gradient exist for one sample. In an unpooled
+block, Dropout writes its output over the ReLU output, which is the conv
+output, and the block tail writes its input gradient into that same
 activation. What is left for the backward to allocate is the per-conv input
-gradients, the tails' pooled-size masks and gradients, and any growth of
-the scratch. Every buffer grows to its largest request and stays, so a
-smaller batch between two larger ones (an eval between train steps, an MC
+gradients, the one-sample masks and gradients, and any growth of the
+scratch. Every buffer grows to its largest request and stays, so a smaller
+batch between two larger ones (an eval between train steps, an MC
 location's eval pass between its n-row passes) reallocates nothing.
 
 Each bound below is the traced number measured with numpy 2.4 plus about
@@ -56,7 +60,9 @@ def _first_step(variant, batch):
 # (variant, batch, bound on what the forward holds). With a conv's own xp
 # and cols kept from the forward to the backward and a dropout output of its
 # own, these forwards held 70.2, 37.7 and 61.3 MiB; with the whole batch's
-# columns in the shared scratch, 41.3, 21.6 and 30.3; now 24.4, 14.0 and 21.3.
+# columns in the shared scratch, 41.3, 21.6 and 30.3; with one sample's
+# columns, 24.4, 14.0 and 21.3; with pooled blocks run one sample at a time,
+# 9.4, 6.1 and 19.1.
 @pytest.mark.parametrize(
     "variant, batch, bound_mib", [("light", 32, 27), ("baseline", 8, 16), ("heavy", 2, 24)]
 )
@@ -67,7 +73,8 @@ def test_forward_holds_little_beyond_its_activations(variant, batch, bound_mib):
 
 # (variant, batch, bound on what the backward adds). Writing into fresh
 # buffers instead, the backward adds 51 MiB (light), 41 MiB (baseline) and
-# 80 MiB (heavy); now it adds 7.9, 6.5 and 15.6 MiB.
+# 80 MiB (heavy); with whole-batch tails 7.9, 6.5 and 15.6 MiB; now 3.6, 4.3
+# and 14.9 MiB.
 @pytest.mark.parametrize(
     "variant, batch, bound_mib", [("light", 32, 9), ("baseline", 8, 8), ("heavy", 2, 18)]
 )
@@ -76,21 +83,35 @@ def test_backward_adds_little_over_the_forward(variant, batch, bound_mib):
     assert added < bound_mib * MiB, (held / MiB, added / MiB)
 
 
-def test_heavy_train_steps_peak():
-    """Two train steps of a fresh ``heavy`` network at batch 8 peak at 93.5
-    MiB traced; with the whole batch's columns in the conv scratch they
-    peaked at 156.1 MiB (and at batch 32, 597.8 against 319.4 MiB)."""
-    net = build_model("heavy", seed=0)
-    x, y = _batch(8)
+def _two_steps_peak(variant, batch):
+    """Traced peak of two train steps of a fresh network."""
+    net = build_model(variant, seed=0)
+    x, y = _batch(batch)
     tracemalloc.start()
     try:
         for _ in range(2):
             net.forward(x, mode="train", rng=np.random.default_rng(2))
             net.backward(y)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 103 * MiB, peak / MiB
+
+
+# (variant, batch, bound). Running each pooled block one sample at a time
+# took these from 32.5 and 71.6 MiB to 13.2 and 26.7 MiB.
+@pytest.mark.parametrize("variant, batch, bound_mib", [("light", 32, 15), ("baseline", 32, 30)])
+def test_two_train_steps_peak(variant, batch, bound_mib):
+    peak = _two_steps_peak(variant, batch)
+    assert peak < bound_mib * MiB, peak / MiB
+
+
+def test_heavy_train_steps_peak():
+    """Two train steps of a fresh ``heavy`` network at batch 8 peak at 73.1
+    MiB traced; with whole-batch pooled blocks they peaked at 93.5 MiB, and
+    with the whole batch's columns in the conv scratch at 156.1 MiB (and at
+    batch 32, 597.8 against 319.4 MiB)."""
+    peak = _two_steps_peak("heavy", 8)
+    assert peak < 81 * MiB, peak / MiB
 
 
 def test_conv_scratch_grows_with_the_batch_only_by_the_padded_copy():
@@ -114,7 +135,8 @@ def test_conv_scratch_grows_with_the_batch_only_by_the_padded_copy():
 
 def _scratch_buffers(net):
     """Every buffer of the network's scratches, keyed by scratch and name:
-    the one its convs share, and each layer's and each fused tail's own."""
+    the one its convs share, and each layer's, each fused tail's and each
+    pooled block's own."""
     owners = [layer for layer in net.layers if layer is not None] + net._steps
     scratches = [getattr(o, attr) for o in owners for attr in ("_ws", "_scratch") if hasattr(o, attr)]
     return {
@@ -147,8 +169,12 @@ def test_small_eval_between_train_steps_keeps_the_scratch():
         _traced_step(net, x, y)
         first = _traced_step(net, x, y)
         buffers = _scratch_buffers(net)
-        # the shared conv scratch, conv and pool outputs, gates, winner codes, tail masks
-        assert {name for _, name in buffers} >= {"", "out", "gate", "code", "live", "dx"}
+        # the shared conv scratch, conv and pool outputs, gates, winner codes,
+        # tail masks, and the pooled blocks' one-sample masks and gradients
+        assert {name for _, name in buffers} >= {"", "out", "gate", "code", "hit", "live", "g", "dx"}
+        blocks = [step for step in net._steps if isinstance(step, L.PooledConvBlock)]
+        assert len(blocks) == 2
+        assert all((id(b._ws), name) in buffers for b in blocks for name in ("live", "g"))
         net.forward(x[:1], mode="eval")
         assert _scratch_buffers(net).keys() == buffers.keys()
         assert all(buf is buffers[k] for k, buf in _scratch_buffers(net).items())
