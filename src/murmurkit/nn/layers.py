@@ -484,57 +484,36 @@ def _live_grad(grad: np.ndarray, out: np.ndarray, scale, live: np.ndarray, g: np
 
 
 class ActivationTail:
-    """A block tail, ReLU -> Dropout with or without a following MaxPool2x2,
-    whose backward is one kernel that reads its mask from the tail's output.
+    """An unpooled block tail, ReLU -> Dropout, whose backward is one kernel
+    that reads its mask from the tail's output.
 
     The dropout output is relu(x) * gate * scale with scale >= 1, so it is
-    > 0 exactly where the element passed both the ReLU and the gate, and a
-    pooled value > 0 exactly where its window's winner did. Without a pool
-    the input gradient is ``(grad * (out > 0)) * scale``: the bytes of the
-    ReLU(Dropout(grad)) chain, signed zeros included. Behind a pool the
-    pooled-size gradient is scaled by ``(pooled > 0) * scale`` and routed to
-    the winners by MaxPool2x2's scatter, without the chain's full-size
-    ReLU-mask, ReLU-gradient and dropout-gradient passes and buffers. For
-    finite values this can differ from the chain only in the sign of zero
-    entries. A conv's backward, the consumer, adds that gradient into
-    storage that starts at +0 (``zero_grad``, BLAS with beta 0, col2im's
-    zeroed buffer): no sum's value depends on a zero's sign and +0 plus
-    either zero is +0, so no parameter gradient changes. A dropout that was
+    > 0 exactly where the element passed both the ReLU and the gate, and the
+    input gradient is ``(grad * (out > 0)) * scale``: the bytes of the
+    ReLU(Dropout(grad)) chain, signed zeros included. A dropout that was
     inactive (p = 0) passed the ReLU output on, so then the mask is read
     from that output and nothing is scaled. The input gradient is written
-    into the full-size activation once the mask has been read (the
-    memory-sharing half of Chen et al. 2016, section 3), and the ReLU's
-    cache is cleared, since that activation now holds a gradient.
-
-    ``train_plan`` fuses only unpooled tails; a pooled block runs as one
-    ``PooledConvBlock``.
+    into the activation once the mask has been read (the memory-sharing half
+    of Chen et al. 2016, section 3), and the ReLU's cache is cleared, since
+    that activation now holds a gradient.
     """
 
-    def __init__(self, relu: ReLU, dropout: Dropout, pool: MaxPool2x2 | None = None):
-        self.relu, self.dropout, self.pool = relu, dropout, pool
+    def __init__(self, relu: ReLU, dropout: Dropout):
+        self.relu, self.dropout = relu, dropout
         self._ws = _Scratch()
 
     def forward(self, x: np.ndarray, rng) -> np.ndarray:
-        """Train-mode forward of an unpooled tail."""
         return self.dropout.forward(self.relu.forward(x, True), True, active=True, rng=rng)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self.relu._out is None or (self.pool is not None and self.pool._cache is None):
+        if self.relu._out is None:
             raise StateError("block tail backward without cached forward")
         if self.dropout._cache is None:
             act, scale = self.relu._out, None
         else:
             _, scale, act = self.dropout._cache
         self.relu._out = None
-        if self.pool is None:
-            # Nothing reads the full-size activation after the mask: it
-            # takes the input gradient.
-            _live_grad(grad, act, scale, self._ws.get("live", act.shape, np.bool_), act)
-            return act
-        code, out, _ = self.pool._cache
-        g = self._ws.get("g", grad.shape, grad.dtype)
-        _live_grad(grad, out, scale, self._ws.get("live", out.shape, np.bool_), g)
-        _route_to_winners(g, code, act, self._ws.get("hit", code.shape, np.bool_))
+        _live_grad(grad, act, scale, self._ws.get("live", act.shape, np.bool_), act)
         return act
 
 
@@ -544,14 +523,22 @@ class PooledConvBlock:
     its winner code exist for the whole batch (MCUNetV2's patch-by-patch
     stage, Lin et al. 2021, arXiv:2110.15352, with a sample as the patch).
     Gates drawn sample by sample consume the generator as one batch draw
-    does, and the backward is ActivationTail's pooled one, sample by sample,
-    so outputs and parameter gradients are the per-layer chain's bytes. The
-    layers' own caches hold the block's state, so an eval pass through them
-    clears it.
+    does, so outputs are the per-layer chain's bytes.
+
+    A pooled value is > 0 exactly where its window's winner passed both the
+    ReLU and the gate, so the backward scales the pooled-size gradient by
+    ``(pooled > 0) * scale`` and routes it to the winners, without the
+    chain's full-size ReLU-mask, ReLU-gradient and dropout-gradient passes.
+    For finite values the conv-output gradient can differ from the chain's
+    only in the sign of zero entries. The conv adds it into storage that
+    starts at +0 (``zero_grad``, BLAS with beta 0, col2im's zeroed buffer):
+    no sum's value depends on a zero's sign and +0 plus either zero is +0, so
+    no gradient the block returns or accumulates changes. The layers' own
+    caches hold the block's state, so an eval pass through them clears it.
     """
 
-    def __init__(self, conv: Conv3x3, dropout: Dropout, pool: MaxPool2x2):
-        self.conv, self.dropout, self.pool = conv, dropout, pool
+    def __init__(self, conv: Conv3x3, relu: ReLU, dropout: Dropout, pool: MaxPool2x2):
+        self.conv, self.relu, self.dropout, self.pool = conv, relu, dropout, pool
         self._ws = _Scratch()
 
     def forward(self, x: np.ndarray, rng) -> np.ndarray:
@@ -561,9 +548,9 @@ class PooledConvBlock:
         code = pool._ws.get("code", pooled.shape, np.uint8)
         hit = pool._ws.get("hit", (1, *pooled.shape[1:]), np.bool_)
         for i in range(n):
-            # The conv's one-row output, in place through ReLU and dropout.
-            act = conv.forward(x[i : i + 1], False)
-            np.maximum(act, 0, out=act)
+            # The conv's one-row output, in place through ReLU and dropout;
+            # the backward reads its mask from the pooled output.
+            act = self.relu.forward(conv.forward(x[i : i + 1], False), False)
             self.dropout.forward(act, True, active=True, rng=rng)
             max_pool_2x2(act, pooled[i : i + 1])
             _winner_code(act, pooled[i : i + 1], code[i : i + 1], hit)
@@ -612,7 +599,7 @@ def train_plan(layers: list) -> list:
     while i < len(layers):
         kinds = [type(layer) for layer in layers[i : i + 4]]
         if kinds == [conv, relu, dropout, pool]:
-            steps.append(PooledConvBlock(layers[i], layers[i + 2], layers[i + 3]))
+            steps.append(PooledConvBlock(*layers[i : i + 4]))
             i += 4
         elif kinds[:2] == [relu, dropout]:
             steps.append(ActivationTail(*layers[i : i + 2]))

@@ -1,20 +1,23 @@
-"""Byte identity of the conv and block-tail backward kernels (and of the
-int8 twin's ``_im2col3x3``) against oracles.
+"""Byte identity of the conv, block-tail and pooled-block backward kernels
+(and of the int8 twin's ``_im2col3x3``) against oracles.
 
 The oracles below are the allocate-per-call formulation of the training
 backward: the conv rebuilds its columns from its cached input with a
 zero-padded im2col of its own, its weight gradient sums a batched
 ``(N, out, 9 * in)`` GEMM over the batch, its input-gradient columns go to
 a separate array that a padded col2im folds back, and the block tail writes
-its input gradient to a fresh array. The layer kernels must reproduce their
-input and parameter gradients bit for bit, in float32 and float64, at batch
-1 and 32, on odd H and W, on H = 1 and W = 2 (where col2im's in-bounds tap
-ranges are empty or one wide), behind a pool and without one, with the
-dropout active and inactive, and across repeated calls on one layer object
-(which share workspaces). The oracles write nothing the forward pass left behind, so
+its input gradient to a fresh array. The kernels must reproduce their input
+and parameter gradients bit for bit, in float32 and float64, at batch 1 and
+32, on odd H and W, on H = 1 and W = 2 (where col2im's in-bounds tap ranges
+are empty or one wide), behind a pool (the tail inside the PooledConvBlock
+that trains a pooled block) and without one, with the dropout active and
+inactive, and across repeated calls on one layer object (which share
+workspaces). The oracles write nothing the forward pass left behind, so
 each case runs its oracle first and the kernel second on the same forward
 caches.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,18 +75,20 @@ def oracle_conv_backward(self, grad, input_grad=True):
 
 
 def oracle_tail_backward(self, grad):
-    if self.relu._out is None or (self.pool is not None and self.pool._cache is None):
+    """ReLU -> Dropout, followed by ``self.pool`` when it is set."""
+    pool = getattr(self, "pool", None)
+    if self.relu._out is None or (pool is not None and pool._cache is None):
         raise StateError("block tail backward without cached forward")
     if self.dropout._cache is None:
         out, scale = self.relu._out, None
     else:
         _, scale, out = self.dropout._cache
-    if self.pool is not None:
-        code, out, shape = self.pool._cache
+    if pool is not None:
+        code, out, shape = pool._cache
     g = grad * (out > 0)
     if scale is not None:
         g *= scale
-    if self.pool is None:
+    if pool is None:
         return g
     dx = np.empty(shape, dtype=grad.dtype)
     L._route_to_winners(g, code, dx, np.empty(code.shape, dtype=np.bool_))
@@ -193,14 +198,36 @@ def test_conv_backward_accumulates_into_existing_gradients(dtype):
 TAIL_SHAPES = {"b1": (1, 3, 8, 10), "b1-odd": (1, 2, 7, 9), "b32": (32, 4, 6, 8), "b32-odd": (32, 3, 9, 13)}
 
 
-def _tail(pooled):
-    return L.ActivationTail(L.ReLU(), L.Dropout(0.1), L.MaxPool2x2() if pooled else None)
+
+def _pooled_block(channels, make, active, dtype):
+    """The layers of a Conv3x3 -> ReLU -> Dropout -> MaxPool2x2 block and
+    the PooledConvBlock over them. For tie-heavy inputs the conv copies its
+    input (a centre tap of 1), so its output keeps their ties; an inactive
+    dropout has p = 0."""
+    conv = L.Conv3x3(channels, channels, rng=np.random.default_rng(0), dtype=dtype)
+    if make is _tie_heavy:
+        conv.w.value[...] = 0
+        conv.w.value[range(channels), range(channels), 1, 1] = 1
+    chain = SimpleNamespace(conv=conv, relu=L.ReLU(), dropout=L.Dropout(0.1 if active else 0.0), pool=L.MaxPool2x2())
+    return chain, L.PooledConvBlock(conv, chain.relu, chain.dropout, chain.pool)
 
 
-def _tail_forward(tail, x, active, seed):
-    h = tail.relu.forward(x, True)
-    h = tail.dropout.forward(h, True, active=active, rng=np.random.default_rng(seed))
-    return h if tail.pool is None else tail.pool.forward(h, True)
+def _check_pooled_tail(active, make, shape, dtype):
+    """The block's output, input and parameter gradients against the
+    per-layer forward with the oracle tail and conv backward."""
+    chain, block = _pooled_block(shape[1], make, active, dtype)
+    for seed in (1, 2):  # the second round reuses the layers' workspaces
+        x = make(shape, dtype, seed)
+        h = chain.relu.forward(chain.conv.forward(x, True), True)
+        h = chain.dropout.forward(h, True, active=True, rng=np.random.default_rng(seed))
+        want_out = chain.pool.forward(h, True).copy()
+        grad = _random(want_out.shape, dtype, seed + 10)
+        want_dx, want = _conv_grads(chain.conv, oracle_conv_backward, oracle_tail_backward(chain, grad), True)
+        _same_bytes(block.forward(x, np.random.default_rng(seed)), want_out)
+        got_dx, got = _conv_grads(chain.conv, lambda _, *args: block.backward(*args), grad, True)
+        _same_bytes(got_dx, want_dx)
+        for g, w in zip(got, want):
+            _same_bytes(g, w)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -209,9 +236,13 @@ def _tail_forward(tail, x, active, seed):
 @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no-pool"])
 @pytest.mark.parametrize("active", [True, False], ids=["dropout", "no-dropout"])
 def test_tail_backward_matches_oracle(active, pooled, make, shape, dtype):
-    tail = _tail(pooled)
+    if pooled:
+        _check_pooled_tail(active, make, TAIL_SHAPES[shape], dtype)
+        return
+    tail = L.ActivationTail(L.ReLU(), L.Dropout(0.1))
     for seed in (1, 2):  # the second round reuses the layers' workspaces
-        out = _tail_forward(tail, make(TAIL_SHAPES[shape], dtype, seed), active, seed)
+        h = tail.relu.forward(make(TAIL_SHAPES[shape], dtype, seed), True)
+        out = tail.dropout.forward(h, True, active=active, rng=np.random.default_rng(seed))
         grad = _random(out.shape, dtype, seed + 10)
         want = oracle_tail_backward(tail, grad)
         _same_bytes(tail.backward(grad), want)
@@ -232,9 +263,8 @@ def test_second_conv_backward_without_forward_raises():
 
 
 def test_second_tail_backward_without_forward_raises():
-    tail = L.ActivationTail(L.ReLU(), L.Dropout(0.1), L.MaxPool2x2())
-    h = tail.relu.forward(np.ones((1, 2, 4, 6), dtype=np.float32), True)
-    h = tail.pool.forward(tail.dropout.forward(h, True, active=True, rng=np.random.default_rng(0)), True)
+    tail = L.ActivationTail(L.ReLU(), L.Dropout(0.1))
+    h = tail.forward(np.ones((1, 2, 4, 6), dtype=np.float32), np.random.default_rng(0))
     tail.backward(np.ones(h.shape, dtype=np.float32))
     with pytest.raises(StateError):
         tail.backward(np.ones(h.shape, dtype=np.float32))
@@ -268,7 +298,15 @@ def test_two_epoch_light_training_matches_oracle_backward(monkeypatch):
     def counted(oracle):
         return lambda self, *args, **kwargs: calls.append(type(self)) or oracle(self, *args, **kwargs)
 
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a pooled block ran fused in the oracle run")
+
     with monkeypatch.context() as m:
+        # The plan fuses no pooled block here, so every conv runs the oracle
+        # backward and every tail the oracle tail, behind the pool's own
+        # backward; the second run trains light's pooled blocks fused.
+        m.setattr(L, "_FUSED_KINDS", (*L._FUSED_KINDS[:3], type("MaxPool2x2", (L.MaxPool2x2,), {})))
+        m.setattr(L.PooledConvBlock, "backward", refuse)
         m.setattr(L.Conv3x3, "backward", counted(oracle_conv_backward))
         m.setattr(L.ActivationTail, "backward", counted(oracle_tail_backward))
         want_weights, want_losses = _train_light(23)
