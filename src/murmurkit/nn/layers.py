@@ -5,17 +5,16 @@ pooling, where linear layers flatten to (N, C). Convolutions are 3x3 with
 stride 1 and zero padding 1, via im2col one sample at a time, so each
 sample's product is a single GEMM.
 
-A train pass runs ``train_plan``: each Conv3x3 -> ReLU -> Dropout ->
-MaxPool2x2 block as one ``PooledConvBlock``, a sample at a time, and each
-other ReLU -> Dropout tail as one ``ActivationTail``, with the per-layer
-chain's outputs and parameter gradients. Eval and MC passes run layer by
-layer.
+A train pass runs ``train_plan``: each Conv3x3 -> ReLU -> Dropout
+[-> MaxPool2x2] block as one ``ConvBlock``, a sample at a time, with the
+per-layer chain's outputs and parameter gradients. Eval and MC passes run
+layer by layer.
 
 Hot layers take their buffers from a ``_Scratch``: on a small host,
 repeatedly mallocing multi-megabyte temporaries costs more in page faults
-than the arithmetic itself. Each layer owns one for what outlives a call:
-its forward output, the dropout gate and the pool's winner code that its
-backward reads, and the gradient its backward returns, each overwritten by
+than the arithmetic itself. Each layer and block owns one for what outlives
+a call: its forward output, the dropout gate and the pool's winner code that
+its backward reads, and the gradient its backward returns, each overwritten by
 the layer's next request for that name. The convs of a network share one
 more for what lives only inside one call (``share_scratch``): the padded
 batch and one sample's columns, which do not grow with the batch (partial
@@ -241,10 +240,8 @@ class Conv3x3:
     caches the input, not its columns: the backward rebuilds the columns
     from it, the recompute half of Chen et al. 2016 (arXiv:1604.06174,
     section 4). That is safe because nothing writes a conv's input until
-    that conv's backward has run. The input is the previous pool's output,
-    the previous block's activation (``heavy``'s unpooled blocks, whose tail
-    writes its gradient there only after this conv's backward), or the
-    batch itself.
+    that conv's backward has run. The input is the previous block's
+    output or the batch itself.
     """
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator | None, dtype=np.float32):
@@ -474,109 +471,83 @@ class MaxPool2x2:
         return dx
 
 
-def _live_grad(grad: np.ndarray, out: np.ndarray, scale, live: np.ndarray, g: np.ndarray) -> None:
-    """Write ``(grad * (out > 0)) * scale`` into ``g``, without the scale
-    when it is None; ``live`` takes the mask."""
-    np.greater(out, 0, out=live)
-    np.multiply(grad, live, out=g)
-    if scale is not None:
-        g *= scale
-
-
-class ActivationTail:
-    """An unpooled block tail, ReLU -> Dropout, whose backward is one kernel
-    that reads its mask from the tail's output.
+class ConvBlock:
+    """Train pass of a Conv3x3 -> ReLU -> Dropout [-> MaxPool2x2] block,
+    one sample at a time in both directions, so that only the block's
+    output (and a pool's winner code) exist for the whole batch (MCUNetV2's
+    patch-by-patch stage, Lin et al. 2021, arXiv:2110.15352, with a sample
+    as the patch). Gates drawn sample by sample consume the generator as
+    one batch draw does, so outputs are the per-layer chain's bytes.
 
     The dropout output is relu(x) * gate * scale with scale >= 1, so it is
-    > 0 exactly where the element passed both the ReLU and the gate, and the
-    input gradient is ``(grad * (out > 0)) * scale``: the bytes of the
-    ReLU(Dropout(grad)) chain, signed zeros included. A dropout that was
-    inactive (p = 0) passed the ReLU output on, so then the mask is read
-    from that output and nothing is scaled. The input gradient is written
-    into the activation once the mask has been read (the memory-sharing half
-    of Chen et al. 2016, section 3), and the ReLU's cache is cleared, since
-    that activation now holds a gradient.
+    > 0 exactly where the element passed both the ReLU and the gate, and a
+    pooled value is > 0 exactly where its window's winner did. The backward
+    therefore scales each sample's gradient by ``(out > 0) * scale``, read
+    from the block's output (no scale when the dropout is inactive), and
+    routes it to the winners when there is a pool: the bytes of the chain's
+    ReLU and dropout backwards, signed zeros included, without their
+    full-size passes. Behind a pool the conv-output gradient can differ from
+    the chain's only in the sign of zero entries. The conv adds it into
+    storage that starts at +0 (``zero_grad``, BLAS with beta 0, col2im's
+    zeroed buffer): no sum's value depends on a zero's sign and +0 plus
+    either zero is +0, so no gradient the block returns or accumulates
+    changes. The conv's cache marks the block's state, so an eval pass
+    through the layers clears it.
     """
 
-    def __init__(self, relu: ReLU, dropout: Dropout):
-        self.relu, self.dropout = relu, dropout
-        self._ws = _Scratch()
-
-    def forward(self, x: np.ndarray, rng) -> np.ndarray:
-        return self.dropout.forward(self.relu.forward(x, True), True, active=True, rng=rng)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self.relu._out is None:
-            raise StateError("block tail backward without cached forward")
-        if self.dropout._cache is None:
-            act, scale = self.relu._out, None
-        else:
-            _, scale, act = self.dropout._cache
-        self.relu._out = None
-        _live_grad(grad, act, scale, self._ws.get("live", act.shape, np.bool_), act)
-        return act
-
-
-class PooledConvBlock:
-    """Train pass of a Conv3x3 -> ReLU -> Dropout -> MaxPool2x2 block, one
-    sample at a time in both directions, so that only the pooled output and
-    its winner code exist for the whole batch (MCUNetV2's patch-by-patch
-    stage, Lin et al. 2021, arXiv:2110.15352, with a sample as the patch).
-    Gates drawn sample by sample consume the generator as one batch draw
-    does, so outputs are the per-layer chain's bytes.
-
-    A pooled value is > 0 exactly where its window's winner passed both the
-    ReLU and the gate, so the backward scales the pooled-size gradient by
-    ``(pooled > 0) * scale`` and routes it to the winners, without the
-    chain's full-size ReLU-mask, ReLU-gradient and dropout-gradient passes.
-    For finite values the conv-output gradient can differ from the chain's
-    only in the sign of zero entries. The conv adds it into storage that
-    starts at +0 (``zero_grad``, BLAS with beta 0, col2im's zeroed buffer):
-    no sum's value depends on a zero's sign and +0 plus either zero is +0, so
-    no gradient the block returns or accumulates changes. The layers' own
-    caches hold the block's state, so an eval pass through them clears it.
-    """
-
-    def __init__(self, conv: Conv3x3, relu: ReLU, dropout: Dropout, pool: MaxPool2x2):
+    def __init__(self, conv: Conv3x3, relu: ReLU, dropout: Dropout, pool: MaxPool2x2 | None = None):
         self.conv, self.relu, self.dropout, self.pool = conv, relu, dropout, pool
         self._ws = _Scratch()
+        self._cache = None
 
     def forward(self, x: np.ndarray, rng) -> np.ndarray:
         conv, pool = self.conv, self.pool
         n, _, h, w = x.shape
-        pooled = pool._ws.get("out", (n, conv.out_ch, h // 2, w // 2), x.dtype)
-        code = pool._ws.get("code", pooled.shape, np.uint8)
-        hit = pool._ws.get("hit", (1, *pooled.shape[1:]), np.bool_)
+        if pool is None:
+            out, code = self._ws.get("out", (n, conv.out_ch, h, w), x.dtype), None
+        else:
+            out = pool._ws.get("out", (n, conv.out_ch, h // 2, w // 2), x.dtype)
+            code = pool._ws.get("code", out.shape, np.uint8)
+            hit = pool._ws.get("hit", (1, *out.shape[1:]), np.bool_)
         for i in range(n):
-            # The conv's one-row output, in place through ReLU and dropout;
-            # the backward reads its mask from the pooled output.
+            # The conv's one-row output, in place through ReLU and dropout.
             act = self.relu.forward(conv.forward(x[i : i + 1], False), False)
             self.dropout.forward(act, True, active=True, rng=rng)
-            max_pool_2x2(act, pooled[i : i + 1])
-            _winner_code(act, pooled[i : i + 1], code[i : i + 1], hit)
-        conv._cache = x
-        pool._cache = (code, pooled, (n, conv.out_ch, h, w))
-        return pooled
+            if pool is None:
+                out[i : i + 1] = act
+            else:
+                max_pool_2x2(act, out[i : i + 1])
+                _winner_code(act, out[i : i + 1], code[i : i + 1], hit)
+        conv._cache, self._cache = x, (out, code)
+        return out
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """The conv's ``backward`` for the pooled-size ``grad``."""
+        """The conv's ``backward`` for the block-output ``grad``."""
         conv, pool = self.conv, self.pool
-        if conv._cache is None or pool._cache is None:
+        if conv._cache is None or self._cache is None:
             raise StateError("conv block backward without cached forward")
-        x, (code, pooled, (_, c, h, w)) = conv._cache, pool._cache
-        conv._cache = pool._cache = None
+        x, (out, code) = conv._cache, self._cache
+        conv._cache = self._cache = None
+        c, (h, w) = conv.out_ch, x.shape[2:]
         scale = None if self.dropout._cache is None else self.dropout._cache[1]
         # The forward's one-row conv output is free: it takes each sample's
-        # conv-output gradient.
+        # conv-output gradient, behind a pool after a pooled-size one.
         g = conv._ws.get("out", (1, c, h, w), grad.dtype)
-        one = (1, *pooled.shape[1:])
-        live, g_pooled = self._ws.get("live", one, np.bool_), self._ws.get("g", one, grad.dtype)
-        hit = pool._ws.get("hit", one, np.bool_)
+        one = (1, *out.shape[1:])
+        live = self._ws.get("live", one, np.bool_)
+        if pool is None:
+            g_out = g
+        else:
+            g_out, hit = self._ws.get("g", one, grad.dtype), pool._ws.get("hit", one, np.bool_)
 
         def sample_grads():
             for i in range(len(x)):
-                _live_grad(grad[i : i + 1], pooled[i : i + 1], scale, live, g_pooled)
-                _route_to_winners(g_pooled, code[i : i + 1], g, hit)
+                np.greater(out[i : i + 1], 0, out=live)
+                np.multiply(grad[i : i + 1], live, out=g_out)
+                if scale is not None:
+                    np.multiply(g_out, scale, out=g_out)
+                if pool is not None:
+                    _route_to_winners(g_out, code[i : i + 1], g, hit)
                 yield g.reshape(c, h * w)
 
         return conv._backward(x, sample_grads(), input_grad)
@@ -589,21 +560,18 @@ _FUSED_KINDS = (Conv3x3, ReLU, Dropout, MaxPool2x2)
 
 def train_plan(layers: list) -> list:
     """The objects a train pass runs, forward in order and backward in
-    reverse: ``layers`` with each Conv3x3 -> ReLU -> Dropout -> MaxPool2x2
-    run of this module's classes as one PooledConvBlock and each other
-    ReLU -> Dropout run as one ActivationTail. The per-layer methods stay,
-    for eval and MC passes, for stacks without that pattern and as the
-    reference."""
+    reverse: ``layers`` with each Conv3x3 -> ReLU -> Dropout run of this
+    module's classes, and a MaxPool2x2 after it, as one ConvBlock. The
+    per-layer methods stay, for eval and MC passes, for stacks without
+    that pattern and as the reference."""
     conv, relu, dropout, pool = _FUSED_KINDS
     steps, i = [], 0
     while i < len(layers):
         kinds = [type(layer) for layer in layers[i : i + 4]]
-        if kinds == [conv, relu, dropout, pool]:
-            steps.append(PooledConvBlock(*layers[i : i + 4]))
-            i += 4
-        elif kinds[:2] == [relu, dropout]:
-            steps.append(ActivationTail(*layers[i : i + 2]))
-            i += 2
+        if kinds[:3] == [conv, relu, dropout]:
+            size = 4 if kinds[3:] == [pool] else 3
+            steps.append(ConvBlock(*layers[i : i + size]))
+            i += size
         else:
             steps.append(layers[i])
             i += 1

@@ -150,7 +150,7 @@ class Network:
         for p, v in zip(params, values):
             if p.value.shape != v.shape:
                 raise ShapeError(f"{p.name}: shape {v.shape} != {p.value.shape}")
-            p.value[...] = v.astype(p.value.dtype)
+            p.value[...] = v
 
     # -- forward / backward ---------------------------------------------
 
@@ -211,7 +211,7 @@ class Network:
                 h = L.softmax(h).astype(self.dtype)
             elif isinstance(layer, L.Dropout):
                 h = layer.forward(h, train, active=dropout_active, rng=rng)
-            elif isinstance(layer, (L.ActivationTail, L.PooledConvBlock)):
+            elif isinstance(layer, L.ConvBlock):
                 h = layer.forward(h, rng)
             else:
                 h = layer.forward(h, train)
@@ -222,11 +222,12 @@ class Network:
 
         The softmax + cross-entropy pair is fused: the gradient entering the
         final linear layer is (probs - onehot) / N. The steps are the train
-        plan's (``layers.train_plan``), made when the network is built; their
-        input gradients can differ from the per-layer chain only in the sign
-        of zeros, which no parameter gradient sees. Nothing consumes the
-        gradient of the network input, so a first conv layer computes only
-        its parameter gradients.
+        plan's (``layers.train_plan``), made when the network is built: one
+        ``ConvBlock`` per conv, then the global pool and the linear layer. A
+        block's input gradient can differ from the per-layer chain's only in
+        the sign of zeros, which no parameter gradient sees. Nothing consumes
+        the gradient of the network input, so the first step computes only
+        its conv's parameter gradients.
         """
         if self._probs is None:
             raise StateError("backward requires a forward pass in train mode")
@@ -242,7 +243,7 @@ class Network:
         for step in reversed(self._steps):
             if step is None:
                 continue
-            if step is first and isinstance(step, (L.Conv3x3, L.PooledConvBlock)):
+            if step is first and isinstance(step, (L.Conv3x3, L.ConvBlock)):
                 step.backward(grad, input_grad=False)
             else:
                 grad = step.backward(grad)

@@ -1,9 +1,8 @@
-"""Byte identity of the pooled conv block's train kernel against the
-per-layer path.
+"""Byte identity of the conv block's train kernel against the per-layer
+path.
 
-A network's train plan runs each Conv3x3 -> ReLU -> Dropout -> MaxPool2x2
-block as one ``PooledConvBlock``, one sample at a time, and each other
-ReLU -> Dropout tail as one ``ActivationTail``. The reference is the same
+A network's train plan runs each Conv3x3 -> ReLU -> Dropout [-> MaxPool2x2]
+block as one ``ConvBlock``, one sample at a time. The reference is the same
 network built while subclasses of ReLU, Dropout and MaxPool2x2 stand in for
 the module's classes: the plan, bound at import, fuses none of them, so
 that network's train step is each layer's own forward and backward. One
@@ -87,8 +86,9 @@ def test_train_step_matches_per_layer_path(variant, case, dtype):
     x = make(batch, shape, 6)
     labels = np.arange(batch) % 2
     fused, per_layer = _build(variant, dtype, p), _build(variant, dtype, p, per_layer=True)
-    assert sum(isinstance(s, L.PooledConvBlock) for s in fused._steps) >= 2
-    assert not any(isinstance(s, (L.PooledConvBlock, L.ActivationTail)) for s in per_layer._steps)
+    convs = [layer for layer in fused.layers if isinstance(layer, L.Conv3x3)]
+    assert [s.conv for s in fused._steps if isinstance(s, L.ConvBlock)] == convs  # one block per conv
+    assert not any(isinstance(s, L.ConvBlock) for s in per_layer._steps)
     want_probs, want_loss, want = _step(per_layer, x, labels)
     for _ in range(2):  # the second step reuses the block's buffers
         probs, loss, got = _step(fused, x, labels)
@@ -99,23 +99,27 @@ def test_train_step_matches_per_layer_path(variant, case, dtype):
             _same_bytes(g, w)
 
 
-def _light_block():
+def _light_block(pooled=True):
+    """A light network, its first pooled block or its unpooled last one,
+    and an input for that block."""
     net = build_model("light", seed=0)
-    x = np.random.default_rng(1).standard_normal((2, 1, 9, 12)).astype(np.float32)
-    return net, next(s for s in net._steps if isinstance(s, L.PooledConvBlock)), x
+    block = next(s for s in net._steps if isinstance(s, L.ConvBlock) and (s.pool is not None) == pooled)
+    x = np.random.default_rng(1).standard_normal((2, block.conv.in_ch, 9, 12)).astype(np.float32)
+    return net, block, x
 
 
-def test_second_block_backward_without_forward_raises():
-    _, block, x = _light_block()
-    pooled = block.forward(x, np.random.default_rng(0))
-    block.backward(np.ones(pooled.shape, dtype=np.float32))
+@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no-pool"])
+def test_second_block_backward_without_forward_raises(pooled):
+    _, block, x = _light_block(pooled)
+    out = block.forward(x, np.random.default_rng(0))
+    block.backward(np.ones(out.shape, dtype=np.float32))
     with pytest.raises(StateError):
-        block.backward(np.ones(pooled.shape, dtype=np.float32))
+        block.backward(np.ones(out.shape, dtype=np.float32))
 
 
 def test_block_backward_after_an_eval_pass_raises():
-    # The eval pass overwrites the pooled output and winner code that the
-    # block's backward would read.
+    # The eval pass clears the conv's cached input and overwrites the
+    # pooled output and winner code that the block's backward would read.
     net, block, x = _light_block()
     pooled = block.forward(x, np.random.default_rng(0))
     net.forward(x[:1], mode="eval")

@@ -1,5 +1,7 @@
 """Variant construction: parameter counts, shapes, determinism, weights I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,19 @@ class TestWeightsIO:
         loaded = load_network(tmp_path / "w")
         want = net.get_weights()
         assert [w.tobytes() for w in loaded.get_weights()] == [w.tobytes() for w in want]
+
+    def test_heavy_load_copies_each_tensor_once(self, tmp_path):
+        """Loading ``heavy``'s 9.3 MB of weights peaks at 27.8 MiB traced:
+        the zero parameters and the blobs read from the files. Casting each
+        blob to the parameter's dtype before copying it in took 31.2 MiB."""
+        save_network(build_model("heavy", seed=9), tmp_path / "w")
+        tracemalloc.start()
+        try:
+            load_network(tmp_path / "w")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 29.5 * 2**20, peak / 2**20
 
     def test_checksum_detects_corruption(self, tmp_path):
         net = build_model("light", seed=9)

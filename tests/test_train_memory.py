@@ -7,17 +7,15 @@ per-sample terms. The forward and the backward run their GEMMs one sample
 at a time and rebuild that sample's columns from the padded copy, and the
 backward writes the sample's input-gradient columns over them; col2im adds
 the taps straight into a per-conv (N, C, H, W) gradient, with no padded
-buffer. A pooled block (conv, ReLU, dropout, max-pool) runs one sample at a
-time in both directions, so of its activations only the pooled output and
-its winner code exist for the whole batch; the full-resolution conv output,
-dropout gate and conv-output gradient exist for one sample. In an unpooled
-block, Dropout writes its output over the ReLU output, which is the conv
-output, and the block tail writes its input gradient into that same
-activation. What is left for the backward to allocate is the per-conv input
-gradients, the one-sample masks and gradients, and any growth of the
-scratch. Every buffer grows to its largest request and stays, so a smaller
-batch between two larger ones (an eval between train steps, an MC
-location's eval pass between its n-row passes) reallocates nothing.
+buffer. Every block (conv, ReLU, dropout and an optional max-pool) runs one
+sample at a time in both directions, so of its activations only its output
+(the pooled output and its winner code behind a pool) exist for the whole
+batch; the full-resolution conv output, dropout gate and conv-output
+gradient exist for one sample. What is left for the backward to allocate is
+the per-conv input gradients, the one-sample masks and gradients, and any
+growth of the scratch. Every buffer grows to its largest request and stays,
+so a smaller batch between two larger ones (an eval between train steps, an
+MC location's eval pass between its n-row passes) reallocates nothing.
 
 Each bound below is the traced number measured with numpy 2.4 plus about
 10%, rounded up to a whole MiB.
@@ -62,7 +60,8 @@ def _first_step(variant, batch):
 # own, these forwards held 70.2, 37.7 and 61.3 MiB; with the whole batch's
 # columns in the shared scratch, 41.3, 21.6 and 30.3; with one sample's
 # columns, 24.4, 14.0 and 21.3; with pooled blocks run one sample at a time,
-# 9.4, 6.1 and 19.1.
+# 9.4, 6.1 and 19.1 (8.1, 5.1 and 18.0 just before the unpooled blocks were
+# run so too); with every block run so, 6.8, 5.0 and 19.4.
 @pytest.mark.parametrize(
     "variant, batch, bound_mib", [("light", 32, 27), ("baseline", 8, 16), ("heavy", 2, 24)]
 )
@@ -73,8 +72,9 @@ def test_forward_holds_little_beyond_its_activations(variant, batch, bound_mib):
 
 # (variant, batch, bound on what the backward adds). Writing into fresh
 # buffers instead, the backward adds 51 MiB (light), 41 MiB (baseline) and
-# 80 MiB (heavy); with whole-batch tails 7.9, 6.5 and 15.6 MiB; now 3.6, 4.3
-# and 14.9 MiB.
+# 80 MiB (heavy); with whole-batch tails 7.9, 6.5 and 15.6 MiB; with
+# whole-batch unpooled tails 3.6, 4.3 and 14.9 MiB (4.9, 5.2 and 16.0 just
+# before the unpooled blocks ran one sample at a time); now 5.3, 5.1 and 15.5.
 @pytest.mark.parametrize(
     "variant, batch, bound_mib", [("light", 32, 9), ("baseline", 8, 8), ("heavy", 2, 18)]
 )
@@ -98,7 +98,8 @@ def _two_steps_peak(variant, batch):
 
 
 # (variant, batch, bound). Running each pooled block one sample at a time
-# took these from 32.5 and 71.6 MiB to 13.2 and 26.7 MiB.
+# took these from 32.5 and 71.6 MiB to 13.2 and 26.7 MiB, and each unpooled
+# one too to 12.3 and 25.8 MiB.
 @pytest.mark.parametrize("variant, batch, bound_mib", [("light", 32, 15), ("baseline", 32, 30)])
 def test_two_train_steps_peak(variant, batch, bound_mib):
     peak = _two_steps_peak(variant, batch)
@@ -106,12 +107,13 @@ def test_two_train_steps_peak(variant, batch, bound_mib):
 
 
 def test_heavy_train_steps_peak():
-    """Two train steps of a fresh ``heavy`` network at batch 8 peak at 73.1
-    MiB traced; with whole-batch pooled blocks they peaked at 93.5 MiB, and
-    with the whole batch's columns in the conv scratch at 156.1 MiB (and at
-    batch 32, 597.8 against 319.4 MiB)."""
+    """Two train steps of a fresh ``heavy`` network at batch 8 peak at 68.5
+    MiB traced; with whole-batch unpooled blocks they peaked at 73.1 MiB,
+    with whole-batch pooled blocks too at 93.5 MiB, and with the whole
+    batch's columns in the conv scratch at 156.1 MiB (and at batch 32, 202.8
+    against 229.5, 319.4 and 597.8 MiB)."""
     peak = _two_steps_peak("heavy", 8)
-    assert peak < 81 * MiB, peak / MiB
+    assert peak < 71 * MiB, peak / MiB
 
 
 def test_conv_scratch_grows_with_the_batch_only_by_the_padded_copy():
@@ -135,8 +137,7 @@ def test_conv_scratch_grows_with_the_batch_only_by_the_padded_copy():
 
 def _scratch_buffers(net):
     """Every buffer of the network's scratches, keyed by scratch and name:
-    the one its convs share, and each layer's, each fused tail's and each
-    pooled block's own."""
+    the one its convs share, and each layer's and each block's own."""
     owners = [layer for layer in net.layers if layer is not None] + net._steps
     scratches = [getattr(o, attr) for o in owners for attr in ("_ws", "_scratch") if hasattr(o, attr)]
     return {
@@ -169,12 +170,15 @@ def test_small_eval_between_train_steps_keeps_the_scratch():
         _traced_step(net, x, y)
         first = _traced_step(net, x, y)
         buffers = _scratch_buffers(net)
-        # the shared conv scratch, conv and pool outputs, gates, winner codes,
-        # tail masks, and the pooled blocks' one-sample masks and gradients
+        # the shared conv scratch, conv, pool and block outputs, gates, winner
+        # codes, and the blocks' one-sample masks and (behind a pool)
+        # pooled-size gradients
         assert {name for _, name in buffers} >= {"", "out", "gate", "code", "hit", "live", "g", "dx"}
-        blocks = [step for step in net._steps if isinstance(step, L.PooledConvBlock)]
-        assert len(blocks) == 2
-        assert all((id(b._ws), name) in buffers for b in blocks for name in ("live", "g"))
+        blocks = [step for step in net._steps if isinstance(step, L.ConvBlock)]
+        assert [b.pool is not None for b in blocks] == [True, True, False]
+        for b in blocks:
+            names = {name for key, name in buffers if key == id(b._ws)}
+            assert names == ({"live", "g"} if b.pool is not None else {"live", "out"}), names
         net.forward(x[:1], mode="eval")
         assert _scratch_buffers(net).keys() == buffers.keys()
         assert all(buf is buffers[k] for k, buf in _scratch_buffers(net).items())
