@@ -5,10 +5,8 @@ pooling, where linear layers flatten to (N, C). Convolutions are 3x3 with
 stride 1 and zero padding 1, via im2col one sample at a time, so each
 sample's product is a single GEMM.
 
-A train pass runs ``train_plan``: each Conv3x3 -> ReLU -> Dropout
-[-> MaxPool2x2] block as one ``ConvBlock``, a sample at a time, with the
-per-layer chain's outputs and parameter gradients. Eval and MC passes run
-layer by layer.
+``ConvBlock`` trains a Conv3x3 -> ReLU -> Dropout [-> MaxPool2x2] block
+a sample at a time; ``Network`` decides which layers form one.
 
 Hot layers take their buffers from a ``_Scratch``: on a small host,
 repeatedly mallocing multi-megabyte temporaries costs more in page faults
@@ -16,7 +14,7 @@ than the arithmetic itself. Each layer and block owns one for what outlives
 a call: its forward output, the dropout gate and the pool's winner code that
 its backward reads, and the gradient its backward returns, each overwritten by
 the layer's next request for that name. The convs of a network share one
-more for what lives only inside one call (``share_scratch``): the padded
+more for what lives only inside one call (``Network`` sets it): the padded
 batch and one sample's columns, which do not grow with the batch (partial
 im2col, as in CMSIS-NN; Lai et al. 2018, arXiv:1801.06601). ReLU, and
 Dropout in training, write over their input instead (in-place activations,
@@ -252,7 +250,7 @@ class Conv3x3:
         self.b = Param("b", np.zeros(out_ch, dtype=dtype))
         self._cache = None
         self._ws = _Scratch()
-        self._scratch = _Scratch()  # a Network gives all its convs one (share_scratch)
+        self._scratch = _Scratch()  # a Network replaces it with the one all its convs share
 
     def params(self) -> list[Param]:
         return [self.w, self.b]
@@ -321,15 +319,6 @@ class Conv3x3:
         self.w.grad += dw.reshape(self.w.value.shape)
         self.b.grad += db
         return dx
-
-
-def share_scratch(layers: list) -> None:
-    """Give the Conv3x3 layers of ``layers`` one scratch, which then lives
-    as long as they do."""
-    scratch = _Scratch()
-    for layer in layers:
-        if isinstance(layer, Conv3x3):
-            layer._scratch = scratch
 
 
 class ReLU:
@@ -551,31 +540,6 @@ class ConvBlock:
                 yield g.reshape(c, h * w)
 
         return conv._backward(x, sample_grads(), input_grad)
-
-
-# Bound at import: a layer class later swapped into this module (an oracle
-# under test) has other caches, so it is never fused.
-_FUSED_KINDS = (Conv3x3, ReLU, Dropout, MaxPool2x2)
-
-
-def train_plan(layers: list) -> list:
-    """The objects a train pass runs, forward in order and backward in
-    reverse: ``layers`` with each Conv3x3 -> ReLU -> Dropout run of this
-    module's classes, and a MaxPool2x2 after it, as one ConvBlock. The
-    per-layer methods stay, for eval and MC passes, for stacks without
-    that pattern and as the reference."""
-    conv, relu, dropout, pool = _FUSED_KINDS
-    steps, i = [], 0
-    while i < len(layers):
-        kinds = [type(layer) for layer in layers[i : i + 4]]
-        if kinds[:3] == [conv, relu, dropout]:
-            size = 4 if kinds[3:] == [pool] else 3
-            steps.append(ConvBlock(*layers[i : i + size]))
-            i += size
-        else:
-            steps.append(layers[i])
-            i += 1
-    return steps
 
 
 class GlobalAvgPool:

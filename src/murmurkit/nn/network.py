@@ -93,35 +93,47 @@ def variant_specs(variant: Variant) -> list[LayerSpec]:
     return specs
 
 
+# One layer object per spec; softmax has none (``Network._run`` applies it).
+_LAYERS = {
+    LayerKind.CONV3X3: lambda s, rng, dtype: L.Conv3x3(s.in_ch, s.out_ch, rng=rng, dtype=dtype),
+    LayerKind.RELU: lambda s, rng, dtype: L.ReLU(),
+    LayerKind.DROPOUT: lambda s, rng, dtype: L.Dropout(s.p),
+    LayerKind.MAXPOOL2X2: lambda s, rng, dtype: L.MaxPool2x2(),
+    LayerKind.GLOBAL_AVG_POOL: lambda s, rng, dtype: L.GlobalAvgPool(),
+    LayerKind.LINEAR: lambda s, rng, dtype: L.Linear(s.in_ch, s.out_ch, rng=rng, dtype=dtype),
+    LayerKind.SOFTMAX: lambda s, rng, dtype: None,
+}
+_BLOCK = [LayerKind.CONV3X3, LayerKind.RELU, LayerKind.DROPOUT]
+
+
 class Network:
     """An ordered layer stack with explicit train/eval/mcd forward modes.
-    Weights are He-uniform draws from ``rng``, or zeros when it is None."""
+    Weights are He-uniform draws from ``rng``, or zeros when it is None.
+
+    Eval and MC passes run ``layers``, one per spec. A train pass runs
+    ``_steps``: each Conv3x3 -> ReLU -> Dropout [-> MaxPool2x2] run of specs
+    as one ``ConvBlock``, a sample at a time, with the per-layer chain's
+    outputs and parameter gradients, and every other layer as itself. All
+    convs share one scratch for what lives only inside one call."""
 
     def __init__(self, variant: Variant, specs: list[LayerSpec], rng: np.random.Generator | None, dtype=np.float32):
         self.variant = variant
         self.specs = list(specs)
         self.dtype = dtype
         self.layers: list = []
-        for spec in self.specs:
-            if spec.kind is LayerKind.CONV3X3:
-                self.layers.append(L.Conv3x3(spec.in_ch, spec.out_ch, rng=rng, dtype=dtype))
-            elif spec.kind is LayerKind.RELU:
-                self.layers.append(L.ReLU())
-            elif spec.kind is LayerKind.DROPOUT:
-                self.layers.append(L.Dropout(spec.p))
-            elif spec.kind is LayerKind.MAXPOOL2X2:
-                self.layers.append(L.MaxPool2x2())
-            elif spec.kind is LayerKind.GLOBAL_AVG_POOL:
-                self.layers.append(L.GlobalAvgPool())
-            elif spec.kind is LayerKind.LINEAR:
-                self.layers.append(L.Linear(spec.in_ch, spec.out_ch, rng=rng, dtype=dtype))
-            elif spec.kind is LayerKind.SOFTMAX:
-                self.layers.append(None)  # handled in forward
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown layer kind {spec.kind}")
-        self.stem_end = next((i for i, s in enumerate(specs) if s.kind is LayerKind.DROPOUT), len(specs))
-        self._steps = L.train_plan(self.layers)
-        L.share_scratch(self.layers)
+        self._steps: list = []
+        scratch = L._Scratch()
+        kinds = [s.kind for s in self.specs]
+        while len(self.layers) < len(kinds):
+            i, size = len(self.layers), 1
+            if kinds[i : i + 3] == _BLOCK:
+                size = 4 if kinds[i + 3 : i + 4] == [LayerKind.MAXPOOL2X2] else 3
+            run = [_LAYERS[s.kind](s, rng, dtype) for s in self.specs[i : i + size]]
+            if kinds[i] is LayerKind.CONV3X3:
+                run[0]._scratch = scratch
+            self.layers += run
+            self._steps.append(L.ConvBlock(*run) if size > 1 else run[0])
+        self.stem_end = next((i for i, k in enumerate(kinds) if k is LayerKind.DROPOUT), len(kinds))
         self._probs: np.ndarray | None = None  # a train pass's output, kept for its backward
 
     # -- parameters ----------------------------------------------------
@@ -217,17 +229,17 @@ class Network:
                 h = layer.forward(h, train)
         return h
 
-    def backward(self, labels: np.ndarray) -> list[np.ndarray]:
-        """Backpropagate mean cross-entropy; returns gradients in parameter order.
+    def backward(self, labels: np.ndarray) -> None:
+        """Backpropagate mean cross-entropy, adding into each parameter's ``grad``.
 
         The softmax + cross-entropy pair is fused: the gradient entering the
-        final linear layer is (probs - onehot) / N. The steps are the train
-        plan's (``layers.train_plan``), made when the network is built: one
-        ``ConvBlock`` per conv, then the global pool and the linear layer. A
-        block's input gradient can differ from the per-layer chain's only in
-        the sign of zeros, which no parameter gradient sees. Nothing consumes
-        the gradient of the network input, so the first step computes only
-        its conv's parameter gradients.
+        final linear layer is (probs - onehot) / N. The steps run in reverse
+        are the train pass's: for the paper's variants one ``ConvBlock`` per
+        conv, then the global pool and the linear layer. A block's input
+        gradient can differ from the per-layer chain's only in the sign of
+        zeros, which no parameter gradient sees. Nothing consumes the
+        gradient of the network input, so the first step computes only its
+        conv's parameter gradients.
         """
         if self._probs is None:
             raise StateError("backward requires a forward pass in train mode")
@@ -248,7 +260,6 @@ class Network:
             else:
                 grad = step.backward(grad)
         self._probs = None
-        return [p.grad.copy() for p in self.parameters()]
 
 
 def build_model(variant: Variant | str, seed: int, dtype=np.float32) -> Network:

@@ -262,12 +262,16 @@ def test_second_network_backward_without_forward_raises():
 # --- whole training run ------------------------------------------------------------
 
 
-def _train_light(seed):
+def _train_light(seed, fused=True):
+    """Two epochs of ``light``; unless ``fused``, with its train plan set to
+    its layers, so every conv's own backward runs."""
     rng = np.random.default_rng(seed)
     train_x = rng.standard_normal((72, 1, 33, 124)).astype(np.float32)
     val_x = rng.standard_normal((24, 1, 33, 124)).astype(np.float32)
     train_y, val_y = rng.integers(0, 2, 72), rng.integers(0, 2, 24)
     net = build_model("light", seed=seed)
+    if not fused:
+        net._steps = list(net.layers)
     history = fit(net, train_x, train_y, val_x, val_y, TrainConfig(epochs=2, seed=seed))
     return net.get_weights(), [e.train_loss for e in history.epochs]
 
@@ -280,13 +284,11 @@ def test_two_epoch_light_training_matches_oracle_backward(monkeypatch):
         return oracle_conv_backward(self, *args, **kwargs)
 
     with monkeypatch.context() as m:
-        # With a Conv3x3 subclass in the fused kinds the plan fuses no
-        # block, so every conv runs the oracle backward, behind the ReLU,
+        # Unfused, every conv runs the oracle backward, behind the ReLU,
         # Dropout and MaxPool2x2 layers' own; the second run trains light's
         # blocks fused.
-        m.setattr(L, "_FUSED_KINDS", (type("Conv3x3", (L.Conv3x3,), {}), *L._FUSED_KINDS[1:]))
         m.setattr(L.Conv3x3, "backward", oracle)
-        want_weights, want_losses = _train_light(23)
+        want_weights, want_losses = _train_light(23, fused=False)
     assert len(reached) == 3  # light's three convs
     got_weights, got_losses = _train_light(23)
     assert got_losses == want_losses

@@ -1,22 +1,24 @@
 """Byte identity of the conv block's train kernel against the per-layer
 path.
 
-A network's train plan runs each Conv3x3 -> ReLU -> Dropout [-> MaxPool2x2]
-block as one ``ConvBlock``, one sample at a time. The reference is the same
-network built while subclasses of ReLU, Dropout and MaxPool2x2 stand in for
-the module's classes: the plan, bound at import, fuses none of them, so
-that network's train step is each layer's own forward and backward. One
-train step must give the same probabilities, loss and parameter gradients,
-bit for bit, for every variant in float32 and float64, at batch 1 and 32,
-on odd H and W, on tie-heavy inputs and with ``Dropout.p = 0`` set after the
-build.
+A network's train pass runs each Conv3x3 -> ReLU -> Dropout [-> MaxPool2x2]
+run of its specs as one ``ConvBlock``, one sample at a time. The reference
+is the same network with its train plan set to its layers
+(``net._steps = list(net.layers)``), so that its train step is each layer's
+own forward and backward. One train step must give the same
+probabilities, loss and parameter gradients, bit for bit, for every
+variant in float32 and float64, at batch 1 and 32, on odd H and W, on
+tie-heavy inputs and with ``Dropout.p = 0`` set after the build. Which
+layers form a block follows the specs alone, not the layer classes.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from murmurkit.errors import StateError
-from murmurkit.nn import build_model, cross_entropy
+from murmurkit.nn import LayerKind, LayerSpec, Network, Variant, build_model, cross_entropy, variant_specs
 from murmurkit.nn import layers as L
 
 
@@ -28,13 +30,11 @@ def _same_bytes(a, b):
 
 def _build(variant, dtype, p, per_layer=False):
     """A network with non-zero biases, so ReLU sees both signs, and each
-    dropout's p set after the build; with ``per_layer``, built from
-    subclasses that the train plan does not fuse."""
-    with pytest.MonkeyPatch.context() as m:
-        if per_layer:
-            for name in ("ReLU", "Dropout", "MaxPool2x2"):
-                m.setattr(L, name, type(name, (getattr(L, name),), {}))
-        net = build_model(variant, seed=3, dtype=dtype)
+    dropout's p set after the build; with ``per_layer``, one whose train
+    pass runs its layers one by one."""
+    net = build_model(variant, seed=3, dtype=dtype)
+    if per_layer:
+        net._steps = list(net.layers)
     rng = np.random.default_rng(4)
     for param in net.parameters():
         if param.name.endswith(".b"):
@@ -75,7 +75,8 @@ CASES = {
 def _step(net, x, labels):
     net.zero_grad()
     probs = net.forward(x, mode="train", rng=np.random.default_rng(5))
-    return probs, cross_entropy(probs, labels), net.backward(labels)
+    assert net.backward(labels) is None
+    return probs, cross_entropy(probs, labels), [p.grad.copy() for p in net.parameters()]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -97,6 +98,66 @@ def test_train_step_matches_per_layer_path(variant, case, dtype):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             _same_bytes(g, w)
+
+
+@pytest.mark.parametrize("variant", ["light", "baseline", "heavy"])
+def test_blocks_follow_the_specs_not_the_layer_classes(variant):
+    """A network built while plain subclasses stand in for ReLU, Dropout
+    and MaxPool2x2 still trains one ConvBlock per conv, with the bytes of
+    one built from the module's own classes."""
+    x, labels = _random(4, (1, 17, 13), 6), np.arange(4) % 2
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("ReLU", "Dropout", "MaxPool2x2"):
+            m.setattr(L, name, type(name, (getattr(L, name),), {}))
+        net = _build(variant, np.float32, 0.1)
+    blocks = [s for s in net._steps if isinstance(s, L.ConvBlock)]
+    assert [b.conv for b in blocks] == [layer for layer in net.layers if isinstance(layer, L.Conv3x3)]
+    assert all(type(b.relu) is not L.ReLU and type(b.dropout) is not L.Dropout for b in blocks)
+    want_probs, want_loss, want = _step(_build(variant, np.float32, 0.1), x, labels)
+    probs, loss, got = _step(net, x, labels)
+    _same_bytes(probs, want_probs)
+    assert loss == want_loss
+    for g, w in zip(got, want, strict=True):
+        _same_bytes(g, w)
+
+
+def _plan(net):
+    """Each train step as the spec kinds of the layers it runs."""
+    kind = {id(layer): spec.kind.value for layer, spec in zip(net.layers, net.specs)}  # softmax's is None
+
+    def members(step):
+        if isinstance(step, L.ConvBlock):
+            return [layer for layer in (step.conv, step.relu, step.dropout, step.pool) if layer is not None]
+        return [step]
+
+    return [tuple(kind[id(layer)] for layer in members(step)) for step in net._steps]
+
+
+_LIGHT_PLAN = [
+    ("conv3x3", "relu", "dropout", "maxpool2x2"),
+    ("conv3x3", "relu", "dropout", "maxpool2x2"),
+    ("conv3x3", "relu", "dropout"),
+    ("global_avg_pool",),
+    ("linear",),
+    ("softmax",),
+]
+
+
+@pytest.mark.parametrize("stack", ["light", "p0", "no-first-relu", "no-dropout"])
+def test_train_plan_of_edited_stacks(stack):
+    """A run of specs is one block only when it is Conv3x3 -> ReLU ->
+    Dropout, whatever its dropout's p; the rest train layer by layer."""
+    specs = variant_specs(Variant.LIGHT)
+    want = _LIGHT_PLAN
+    if stack == "p0":
+        specs = [dataclasses.replace(s, p=0.0) for s in specs]
+    elif stack == "no-first-relu":
+        specs.remove(LayerSpec(LayerKind.RELU))
+        want = [("conv3x3",), ("dropout",), ("maxpool2x2",), *_LIGHT_PLAN[1:]]
+    elif stack == "no-dropout":
+        specs = [s for s in specs if s.kind is not LayerKind.DROPOUT]
+        want = [(s.kind.value,) for s in specs]
+    assert _plan(Network(Variant.LIGHT, specs, rng=np.random.default_rng(0))) == want
 
 
 def _light_block(pooled=True):

@@ -273,23 +273,30 @@ def test_relu_matches_oracle(kind, dtype):
 # --- whole training run ------------------------------------------------------------
 
 
-def _train_light(seed):
+def _train_light(seed, fused=True):
+    """Two epochs of ``light``; unless ``fused``, with its train plan set to
+    its layers, so every layer's own forward and backward run."""
     rng = np.random.default_rng(seed)
     train_x = rng.standard_normal((72, 1, 33, 124)).astype(np.float32)
     val_x = rng.standard_normal((24, 1, 33, 124)).astype(np.float32)
     train_y, val_y = rng.integers(0, 2, 72), rng.integers(0, 2, 24)
     net = build_model("light", seed=seed)
+    if not fused:
+        net._steps = list(net.layers)
     history = fit(net, train_x, train_y, val_x, val_y, TrainConfig(epochs=2, seed=seed))
     kinds = {type(layer) for layer in net.layers}
     return kinds, net.get_weights(), [e.train_loss for e in history.epochs]
 
 
 def test_two_epoch_light_training_matches_oracle_kernels(monkeypatch):
+    # The network builds the oracle classes in place of the module's. Their
+    # instances have no workspaces for a ConvBlock, so that run is unfused;
+    # the second run trains light's blocks fused.
     with monkeypatch.context() as m:
         m.setattr(L, "MaxPool2x2", OracleMaxPool2x2)
         m.setattr(L, "Dropout", OracleDropout)
         m.setattr(L, "ReLU", OracleReLU)
-        want_kinds, want_weights, want_losses = _train_light(21)
+        want_kinds, want_weights, want_losses = _train_light(21, fused=False)
     got_kinds, got_weights, got_losses = _train_light(21)
     assert {OracleMaxPool2x2, OracleDropout, OracleReLU} <= want_kinds
     assert {L.MaxPool2x2, L.Dropout, L.ReLU} <= got_kinds
