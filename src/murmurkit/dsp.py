@@ -55,9 +55,8 @@ class QualityReport:
 
 
 def segment(waveform: Waveform, window_s: float = 2.0, hop_s: float = 1.0) -> list[Segment]:
-    """Tile a waveform into left-aligned windows; the trailing remainder is dropped."""
-    if hop_s <= 0:
-        raise ConfigError(f"hop_s must be positive, got {hop_s}")
+    """Tile a waveform into left-aligned windows; the trailing remainder is
+    dropped. A hop that rounds to less than one sample is rejected."""
     if waveform.sample_rate_hz != PIPELINE_RATE_HZ:
         raise ConfigError(
             f"expected {PIPELINE_RATE_HZ} Hz input, got {waveform.sample_rate_hz} Hz; "
@@ -66,7 +65,9 @@ def segment(waveform: Waveform, window_s: float = 2.0, hop_s: float = 1.0) -> li
     rate = waveform.sample_rate_hz
     win = int(round(window_s * rate))
     hop = int(round(hop_s * rate))
-    if hop <= 0 or len(waveform.samples) < win:
+    if hop < 1:
+        raise ConfigError(f"hop_s {hop_s} rounds to {hop} samples at {rate} Hz; it must be at least one")
+    if len(waveform.samples) < win:
         return []
     count = (len(waveform.samples) - win) // hop + 1
     return [

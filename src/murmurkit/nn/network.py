@@ -107,7 +107,8 @@ _BLOCK = [LayerKind.CONV3X3, LayerKind.RELU, LayerKind.DROPOUT]
 
 
 class Network:
-    """An ordered layer stack with explicit train/eval/mcd forward modes.
+    """One of the paper's three variants, the layer stack of
+    ``variant_specs(variant)``, with explicit train/eval/mcd forward modes.
     Weights are He-uniform draws from ``rng``, or zeros when it is None.
 
     Eval and MC passes run ``layers``, one per spec. A train pass runs
@@ -116,9 +117,9 @@ class Network:
     outputs and parameter gradients, and every other layer as itself. All
     convs share one scratch for what lives only inside one call."""
 
-    def __init__(self, variant: Variant, specs: list[LayerSpec], rng: np.random.Generator | None, dtype=np.float32):
+    def __init__(self, variant: Variant, rng: np.random.Generator | None, dtype=np.float32):
         self.variant = variant
-        self.specs = list(specs)
+        self.specs = variant_specs(variant)
         self.dtype = dtype
         self.layers: list = []
         self._steps: list = []
@@ -133,7 +134,7 @@ class Network:
                 run[0]._scratch = scratch
             self.layers += run
             self._steps.append(L.ConvBlock(*run) if size > 1 else run[0])
-        self.stem_end = next((i for i, k in enumerate(kinds) if k is LayerKind.DROPOUT), len(kinds))
+        self.stem_end = kinds.index(LayerKind.DROPOUT)
         self._probs: np.ndarray | None = None  # a train pass's output, kept for its backward
 
     # -- parameters ----------------------------------------------------
@@ -177,10 +178,10 @@ class Network:
         """Run the stack; returns class probabilities of shape (N, 2).
 
         ``mode`` is "eval" (deterministic), "train" (dropout active, caches
-        kept for backward), or "mcd" (dropout active, no caches). A non-train
-        pass may resume at layer ``start`` from the output of the layers
-        before it (``stem``); that input is used as given, so a broadcast
-        view of one row stays a view.
+        kept for backward), or "mcd" (dropout active, no caches); the last
+        two require an ``rng``. A non-train pass may resume at layer
+        ``start`` from the output of the layers before it (``stem``); that
+        input is used as given, so a broadcast view of one row stays a view.
         """
         if mode not in ("train", "eval", "mcd"):
             raise ConfigError(f"unknown forward mode {mode!r}")
@@ -188,7 +189,7 @@ class Network:
         if train and start:
             raise ConfigError("a train-mode pass starts at the first layer")
         dropout_active = mode in ("train", "mcd")
-        if dropout_active and rng is None and any(isinstance(l, L.Dropout) and l.p > 0 for l in self.layers):
+        if dropout_active and rng is None:
             raise ConfigError(f"mode {mode!r} requires an rng for dropout")
         h = self._run(x, start, len(self.layers), train, dropout_active, rng)
         # A non-train forward overwrites layer workspaces, so any previously
@@ -234,12 +235,12 @@ class Network:
 
         The softmax + cross-entropy pair is fused: the gradient entering the
         final linear layer is (probs - onehot) / N. The steps run in reverse
-        are the train pass's: for the paper's variants one ``ConvBlock`` per
-        conv, then the global pool and the linear layer. A block's input
-        gradient can differ from the per-layer chain's only in the sign of
-        zeros, which no parameter gradient sees. Nothing consumes the
-        gradient of the network input, so the first step computes only its
-        conv's parameter gradients.
+        are the train pass's: one ``ConvBlock`` per conv, then the global
+        pool and the linear layer. A block's input gradient can differ from
+        the per-layer chain's only in the sign of zeros, which no parameter
+        gradient sees. Nothing consumes the gradient of the network input,
+        so the first step, always the first conv or its block, computes
+        only that conv's parameter gradients.
         """
         if self._probs is None:
             raise StateError("backward requires a forward pass in train mode")
@@ -251,14 +252,11 @@ class Network:
         onehot = np.zeros((n, k), dtype=probs.dtype)
         onehot[np.arange(n), labels] = 1
         grad = (probs - onehot) / n
-        first = self._steps[0]
-        for step in reversed(self._steps):
-            if step is None:
-                continue
-            if step is first and isinstance(step, (L.Conv3x3, L.ConvBlock)):
-                step.backward(grad, input_grad=False)
-            else:
+        first, *rest = self._steps
+        for step in reversed(rest):
+            if step is not None:
                 grad = step.backward(grad)
+        first.backward(grad, input_grad=False)
         self._probs = None
 
 
@@ -266,7 +264,7 @@ def build_model(variant: Variant | str, seed: int, dtype=np.float32) -> Network:
     """Instantiate a variant with He-uniform weights and zero biases."""
     variant = Variant(variant)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return Network(variant, variant_specs(variant), rng=rng, dtype=dtype)
+    return Network(variant, rng=rng, dtype=dtype)
 
 
 # --- weights files ----------------------------------------------------------
@@ -371,7 +369,7 @@ def save_network(net: Network, out_dir: str | Path) -> None:
 
 def load_network(weights_dir: str | Path) -> Network:
     variant, rows = read_weights(weights_dir, _WEIGHTS_FORMAT, "<f4")
-    net = Network(variant, variant_specs(variant), rng=None)
+    net = Network(variant, rng=None)
     check_rows(weights_dir, rows, _rows(net))
     tensors = [row for row in rows if not isinstance(row, str)]
     for name, values, _ in tensors:

@@ -286,7 +286,7 @@ def recording_features(
     specs = [dsp.stft_spectrogram(s, cfg.n_fft) for s in segs]
     kept = dsp.quality_filter(specs, cfg.psd_thr, min_keep=cfg.min_keep).kept_indices()
     inputs = np.stack([dsp.model_input(specs[i]) for i in kept]) if kept else np.zeros(
-        (0, 1, 1, 1), dtype=np.float32
+        (0, 1, *specs[0].shape), dtype=np.float32
     )
     return LocationFeatures(
         location=waveform.location,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError, NumericError, ParseError, ShapeError
+from .errors import CalibrationError, NumericError, ParseError, ShapeError
 from .nn.layers import _im2col3x3, global_avg_pool, max_pool_2x2, softmax
 from .nn.network import (
     LayerKind,
@@ -50,14 +50,13 @@ _MAX_SCALE = float(np.finfo(np.float32).max) / 128
 
 @dataclass(frozen=True)
 class QTensor:
-    """Symmetric per-tensor int8 values: real = scale * (q - zero_point)."""
+    """Symmetric per-tensor int8 values: real = scale * q."""
 
     values: np.ndarray
     scale: float
-    zero_point: int = 0
 
     def dequantize(self) -> np.ndarray:
-        return self.scale * (self.values.astype(np.float32) - self.zero_point)
+        return self.scale * self.values.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,6 @@ def quantize_network(net: Network, calibration: np.ndarray) -> QNetwork:
     in_lo, in_hi = float(calibration.min()), float(calibration.max())
     if not (np.isfinite(in_lo) and np.isfinite(in_hi)):
         raise NumericError("calibration inputs must be finite")
-    if net.specs != variant_specs(net.variant):
-        raise ConfigError(f"only the {net.variant.value} variant stack can be quantized")
     _check_accumulator_bound(net.specs)
 
     kept = [(s, net.layers[j]) for j, s in _int8_layers(net.specs)[1]]

@@ -125,8 +125,6 @@ def mcd_predict_batch(
         raise ConfigError(f"entropy_mode must be one of {ENTROPY_MODES}, got {entropy_mode!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    if net.stem_end == len(net.layers):
-        raise ConfigError("network has no dropout layers; MC-Dropout is undefined")
     inputs = np.asarray(inputs, dtype=np.float32)
     out = []
     for x, child in zip(inputs, np.random.SeedSequence(seed).spawn(len(inputs))):

@@ -52,6 +52,12 @@ class TestSegment:
         with pytest.raises(ConfigError):
             segment(_wave(4.0), 2.0, 0.0)
 
+    @pytest.mark.parametrize("duration_s", [4.0, 1.5])
+    def test_hop_under_one_sample_rejected(self, duration_s):
+        # 1e-4 s is 0.4 samples at 4 kHz: the hop would round to 0 and tile nothing.
+        with pytest.raises(ConfigError):
+            segment(_wave(duration_s), 2.0, 1e-4)
+
 
 def _segment_of(samples: np.ndarray) -> Segment:
     return Segment(samples=samples.astype(np.float64), start_s=0.0)

@@ -12,13 +12,11 @@ gradients of a train step, which runs each conv block as one kernel, must
 match those of the per-layer forward and backward chain.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from murmurkit.errors import ConfigError
-from murmurkit.nn import Network, Variant, build_model, predict_labels, variant_specs
+from murmurkit.nn import build_model, predict_labels
 from murmurkit.nn import layers as L
 from murmurkit.uq import _scores, mcd_predict_batch
 
@@ -328,8 +326,10 @@ def test_backward_parameter_gradients_match_full_backward(variant, kind, shape, 
 def test_backward_with_inactive_dropout_matches_full_backward():
     # A p = 0 dropout passes the ReLU output on and caches nothing, so the
     # block reads its mask from its output and does not scale.
-    specs = [dataclasses.replace(s, p=0.0) for s in variant_specs(Variant.LIGHT)]
-    net = Network(Variant.LIGHT, specs, rng=np.random.default_rng(3))
+    net = build_model("light", seed=3)
+    for layer in net.layers:
+        if isinstance(layer, L.Dropout):
+            layer.p = 0.0
     _assert_backward_matches_full_backward(net, _stack(6, 8))
 
 

@@ -9,7 +9,6 @@ from murmurkit import resources
 from murmurkit.errors import ConfigError, ParseError, ShapeError, StateError
 from murmurkit.nn import (
     LayerKind,
-    Network,
     Variant,
     build_model,
     load_network,
@@ -153,11 +152,11 @@ class TestForwardShapes:
             if isinstance(l, L.Dropout):
                 l.p = 0.0
         net.zero_grad()
-        net.forward(x1, mode="train")
+        net.forward(x1, mode="train", rng=np.random.default_rng(1))
         net.backward(np.array([1]))
         g1 = [p.grad.copy() for p in net.parameters()]
         net.zero_grad()
-        net.forward(x2, mode="train")
+        net.forward(x2, mode="train", rng=np.random.default_rng(1))
         net.backward(np.array([1, 1]))
         g2 = [p.grad.copy() for p in net.parameters()]
         for a, b in zip(g1, g2):
@@ -229,6 +228,15 @@ class TestModes:
         with pytest.raises(ConfigError):
             net.forward(np.zeros((1, 1, 33, 124), dtype=np.float32), mode="mcd")
 
+    @pytest.mark.parametrize("mode", ["train", "mcd"])
+    def test_rng_needed_even_when_every_p_is_zero(self, mode):
+        net = build_model("light", seed=0)
+        for layer in net.layers:
+            if isinstance(layer, L.Dropout):
+                layer.p = 0.0
+        with pytest.raises(ConfigError):
+            net.forward(np.zeros((1, 1, 33, 124), dtype=np.float32), mode=mode)
+
     def test_train_pass_cannot_resume_after_the_stem(self):
         net = build_model("light", seed=0)
         start, h = net.stem(np.zeros((1, 1, 33, 124), dtype=np.float32))
@@ -243,14 +251,6 @@ class TestStem:
         first = [s.kind for s in net.specs].index(LayerKind.DROPOUT)
         start, _ = net.stem(np.zeros((1, 1, 16, 16), dtype=np.float32))
         assert start == net.stem_end == first
-
-    def test_stem_covers_a_stack_without_dropout(self):
-        specs = [s for s in variant_specs(Variant.LIGHT) if s.kind is not LayerKind.DROPOUT]
-        net = Network(Variant.LIGHT, specs, rng=np.random.default_rng(0))
-        x = np.random.default_rng(2).standard_normal((2, 1, 16, 16)).astype(np.float32)
-        start, h = net.stem(x)
-        assert start == len(specs)
-        assert h.tobytes() == net.forward(x, mode="eval").tobytes()
 
     def test_stem_ends_before_the_first_dropout(self):
         net = build_model("baseline", seed=0)

@@ -193,6 +193,32 @@ class TestFeatureExtraction:
         assert (y4 == 1).sum() > (y1 == 1).sum()
         assert (y4 == 0).sum() == (y1 == 0).sum()
 
+    def test_oversampled_hop_under_one_sample_rejected(self, corpus):
+        # hop_s / 8000 is 0.5 samples at 4 kHz, which would round to a hop of
+        # 0 and leave every Present recording unsegmented.
+        manifest, base = corpus
+        cfg = PipelineConfig(seed=1, oversample_divisor=8000)
+        with pytest.raises(ConfigError):
+            pipeline.training_features(manifest, base, cfg)
+
+    def test_location_merge_takes_a_recording_the_gate_emptied(self, tmp_path):
+        # Two recordings at one location: with min_keep = 0 the gate keeps
+        # none of the white-noise one, and the merge keeps the other's 7.
+        wf = synth_recording(MurmurLabel.ABSENT, 8.0, seed=3)
+        noise = np.random.default_rng(0).normal(0.0, 0.3, len(wf.samples))
+        refs = []
+        for name, samples in (("heart", wf.samples), ("noise", noise)):
+            write_recording(tmp_path / f"{name}.wav", Waveform(samples, wf.sample_rate_hz))
+            refs.append(RecordingRef(Location.AV, f"{name}.wav"))
+        entry = ManifestEntry(Split.TEST, PatientRecord("p", MurmurLabel.ABSENT, tuple(refs)))
+        cfg = PipelineConfig(min_keep=0)
+        [pf] = pipeline.eval_features(DatasetManifest((entry,)), tmp_path, Split.TEST, cfg)
+        [lf] = pf.locations
+        alone = pipeline.recording_features(pipeline.load_waveform(tmp_path, refs[0]), cfg)
+        assert len(alone.inputs) == 7 and lf.n_total_segments == 14
+        assert lf.inputs.tobytes() == alone.inputs.tobytes()
+        assert lf.start_s == alone.start_s
+
     def test_worker_env_validation(self, monkeypatch):
         monkeypatch.setenv("MURMUR_THREADS", "0")
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from murmurkit.errors import ConfigError, DomainError
-from murmurkit.nn import LayerKind, Network, Variant, build_model, variant_specs
+from murmurkit.nn import Network, build_model
 from murmurkit.nn import layers as L
 from murmurkit.uq import (
     ConfidencePolicy,
@@ -130,12 +130,6 @@ class TestMcdPredict:
         b = _mcd_one(light_net, _x(7), n=10, seed=5, entropy_mode="mean_of_entropies")
         assert np.array_equal(a.pass_probs, b.pass_probs)
         assert 0.0 <= b.entropy <= 1.0
-
-    def test_dropout_free_network_rejected(self):
-        specs = [s for s in variant_specs(Variant.LIGHT) if s.kind is not LayerKind.DROPOUT]
-        net = Network(Variant.LIGHT, specs, rng=np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            mcd_predict_batch(net, _x()[None], n=10, seed=0)
 
     @pytest.mark.parametrize(
         "kwargs", [{"entropy_mode": "entropy"}, {"alpha": 1.5}, {"alpha": float("nan")}]
